@@ -10,16 +10,6 @@
 namespace mupod {
 
 namespace {
-// Cap on memory spent caching eval-set activations; beyond this the
-// baseline's single-injection evaluation recomputes caches per batch.
-constexpr std::int64_t kEvalActCacheBytes = 256LL * 1024 * 1024;
-
-std::int64_t acts_bytes(const std::vector<Tensor>& acts) {
-  std::int64_t total = 0;
-  for (const Tensor& t : acts) total += t.numel() * static_cast<std::int64_t>(sizeof(float));
-  return total;
-}
-
 bool acts_all_finite(const std::vector<Tensor>& acts) {
   for (const Tensor& t : acts)
     if (!t.all_finite()) return false;
@@ -47,7 +37,6 @@ AnalysisHarness::AnalysisHarness(const Network& net, std::vector<int> analyzed,
   // every sigma_{Y_{K->L}} measurement built on it. Replacement batches
   // are drawn from later dataset indices, with a bounded attempt budget so
   // a fully-poisoned network still terminates.
-  std::int64_t per_image_bytes = 0;
   {
     std::int64_t index = 0;
     int remaining = cfg_.profile_images;
@@ -75,7 +64,6 @@ AnalysisHarness::AnalysisHarness(const Network& net, std::vector<int> analyzed,
         ranges_[k] = std::max(ranges_[k],
                               static_cast<double>(b.acts[static_cast<std::size_t>(in_node)].max_abs()));
       }
-      per_image_bytes = acts_bytes(b.acts) / n;
       profile_batches_.push_back(std::move(b));
       remaining -= n;
     }
@@ -88,7 +76,9 @@ AnalysisHarness::AnalysisHarness(const Network& net, std::vector<int> analyzed,
   }
 
   // --- evaluation set ------------------------------------------------------
-  eval_acts_cached_ = per_image_bytes * cfg_.eval_images <= kEvalActCacheBytes;
+  // Only each batch's float logits are kept: Scheme 2 reads nothing else,
+  // and an activation cache per eval batch would dominate the harness's
+  // memory.
   {
     // Disjoint from the profiling images.
     std::int64_t index = cfg_.eval_start_index;
@@ -100,9 +90,9 @@ AnalysisHarness::AnalysisHarness(const Network& net, std::vector<int> analyzed,
       const int n = std::min(remaining, cfg_.batch);
       Batch b;
       b.images = dataset.make_batch(index, n);
-      std::vector<Tensor> acts = net.forward_all(b.images);
+      b.logits = net.forward(b.images);
       forward_count_ += n;
-      const Tensor& logits = acts[static_cast<std::size_t>(net.output_node())];
+      const Tensor& logits = b.logits;
       if (cfg_.quarantine_nonfinite && !logits.all_finite()) {
         ++quarantined_eval_;
         diag_report(diag, DiagSeverity::kWarning, PipelineStage::kHarness, -1,
@@ -122,7 +112,6 @@ AnalysisHarness::AnalysisHarness(const Network& net, std::vector<int> analyzed,
         b.reference = float_pred;
         float_hits += n;
       }
-      if (eval_acts_cached_) b.acts = std::move(acts);
       eval_batches_.push_back(std::move(b));
       images_used += n;
       index += n;
@@ -248,17 +237,7 @@ double AnalysisHarness::accuracy_with_output_gaussian(double sigma, int rep) con
   Rng rng(rep_seed(rep) ^ 0xfeedface12345678ULL);
   std::int64_t hits = 0, total = 0;
   for (const Batch& b : eval_batches_) {
-    // The float logits are already known: either cached, or recomputed once.
-    Tensor logits;
-    const Tensor* base = nullptr;
-    if (eval_acts_cached_) {
-      base = &b.acts[static_cast<std::size_t>(net_->output_node())];
-    } else {
-      logits = net_->forward(b.images);
-      forward_count_ += b.images.shape().n();
-      base = &logits;
-    }
-    Tensor noisy = *base;
+    Tensor noisy = b.logits;
     for (std::int64_t i = 0; i < noisy.numel(); ++i)
       noisy[i] += static_cast<float>(rng.gaussian(0.0, sigma));
     const int n = noisy.shape().dim(0);
@@ -275,16 +254,10 @@ std::vector<double> AnalysisHarness::accuracy_single_injections(
   std::int64_t total = 0;
 
   for (const Batch& b : eval_batches_) {
-    // Activation cache for this batch: persistent or recomputed on the fly.
-    const std::vector<Tensor>* acts = nullptr;
-    std::vector<Tensor> local;
-    if (eval_acts_cached_) {
-      acts = &b.acts;
-    } else {
-      local = net_->forward_all(b.images);
-      forward_count_ += b.images.shape().n();
-      acts = &local;
-    }
+    // The eval set keeps no activation cache; rebuild this batch's once
+    // and share it across all candidates.
+    const std::vector<Tensor> acts = net_->forward_all(b.images);
+    forward_count_ += b.images.shape().n();
     const int n = b.images.shape().n();
     total += n;
     for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
@@ -293,7 +266,7 @@ std::vector<double> AnalysisHarness::accuracy_single_injections(
       ForwardOptions opts;
       opts.inject = &inject;
       opts.seed = rep_seed(0);
-      Tensor logits = net_->forward_from(candidates[ci].first, *acts, opts);
+      Tensor logits = net_->forward_from(candidates[ci].first, acts, opts);
       forward_count_ += n;
       for (int i = 0; i < n; ++i)
         if (logits.argmax_row(i) == b.reference[static_cast<std::size_t>(i)]) ++hits[ci];

@@ -114,8 +114,8 @@ class AnalysisHarness {
 
   // Efficient batch evaluation of many *single-node* injection candidates
   // (used by the search-based baseline): result[i] is the accuracy when
-  // only candidates[i] is applied. Exploits the cached activations so each
-  // candidate costs a partial forward.
+  // only candidates[i] is applied. Builds each eval batch's activation
+  // cache once per call, so each candidate costs a partial forward.
   std::vector<double> accuracy_single_injections(
       const std::vector<std::pair<int, InjectionSpec>>& candidates) const;
 
@@ -141,7 +141,8 @@ class AnalysisHarness {
  private:
   struct Batch {
     Tensor images;
-    std::vector<Tensor> acts;   // exact activation cache
+    std::vector<Tensor> acts;   // exact activation cache (profiling set only)
+    Tensor logits;              // float logits (eval set only)
     std::vector<int> reference; // comparison targets: float top-1
                                 // predictions (kAgreement) or labels (kLabels)
   };
@@ -152,10 +153,9 @@ class AnalysisHarness {
   std::vector<int> analyzed_;
   HarnessConfig cfg_;
   std::vector<Batch> profile_batches_;
-  std::vector<Batch> eval_batches_;  // acts kept only when affordable
+  std::vector<Batch> eval_batches_;
   std::vector<double> ranges_;
   double float_accuracy_ = 1.0;
-  bool eval_acts_cached_ = false;
   int quarantined_profile_ = 0;
   int quarantined_eval_ = 0;
   mutable std::atomic<std::int64_t> forward_count_{0};

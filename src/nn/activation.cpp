@@ -19,7 +19,7 @@ void ReLULayer::forward(std::span<const Tensor* const> in, Tensor& out) const {
   const std::int64_t n = x.numel();
   const float* p = x.data();
   float* q = out.data();
-  for (std::int64_t i = 0; i < n; ++i) q[i] = p[i] > 0.0f ? p[i] : 0.0f;
+  for (std::int64_t i = 0; i < n; ++i) q[i] = relu_exact(p[i]);
 }
 
 // ---------------------------------------------------------------------------

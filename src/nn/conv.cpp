@@ -238,7 +238,7 @@ void Conv2DLayer::forward(std::span<const Tensor* const> in, Tensor& out) const 
       for (std::int64_t i = 0; i < count; ++i) yplane[i] = yplane[i] * a + b;
     }
     if (fu_relu)
-      for (std::int64_t i = 0; i < count; ++i) yplane[i] = yplane[i] > 0.0f ? yplane[i] : 0.0f;
+      for (std::int64_t i = 0; i < count; ++i) yplane[i] = relu_exact(yplane[i]);
   };
 
   const float* wdata = weights_.data();

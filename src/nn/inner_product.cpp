@@ -134,7 +134,7 @@ void InnerProductLayer::forward(std::span<const Tensor* const> in, Tensor& out) 
         const float* wrow = wdata + static_cast<std::int64_t>(o) * in_f;
         float acc = bdata != nullptr ? bdata[o] : 0.0f;
         for (int i = 0; i < in_f; ++i) acc += xrow[i] * wrow[i];
-        if (fu_relu) acc = acc > 0.0f ? acc : 0.0f;
+        if (fu_relu) acc = relu_exact(acc);
         ydata[idx] = acc;
       }
     });

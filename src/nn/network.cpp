@@ -114,57 +114,92 @@ int Network::node_id(const std::string& name) const {
   return it == by_name_.end() ? -1 : it->second;
 }
 
-void Network::run_range(int first, const std::vector<bool>* recompute,
-                        const std::vector<Tensor>* cache, std::vector<Tensor>& local,
-                        std::vector<const Tensor*>& outs, const Tensor& input,
-                        const ForwardOptions& opts) const {
-  assert(finalized_);
-  const int n_nodes = num_nodes();
-  Tensor perturbed;  // scratch for injected inputs
+namespace {
 
-  for (int id = first; id < n_nodes; ++id) {
-    if (recompute != nullptr && !(*recompute)[static_cast<std::size_t>(id)]) {
-      // Served from the cache (set up by the caller in `outs`).
+// Per-thread scratch of the forwards, in the GemmScratch pattern: buffers
+// only grow, so a steady stream of analysis forwards at one batch size
+// allocates nothing and zero-fills nothing. `nodes` holds the node outputs
+// of forward / forward_from, indexed by node id. Every call writes each
+// slot before it reads it and hands out only copies, so networks
+// interleaved on one thread share the slots safely; growth from one
+// network to the next costs at most what a fresh buffer did. Like
+// GemmScratch, it assumes no forward runs inside another on one thread.
+struct ForwardArena {
+  std::vector<Tensor> nodes;
+  Tensor perturbed;                  // injected copy of a node's data input
+  std::vector<const Tensor*> outs;   // where each node's output is read from
+  std::vector<const Tensor*> ins;    // the current node's inputs
+  std::vector<Shape> in_shapes;
+  std::vector<char> recompute;       // the downstream set of forward_from
+};
+
+// The calling thread's arena, set up for one call on `net`.
+ForwardArena& forward_arena(const Network& net) {
+  thread_local ForwardArena a;
+  const auto n = static_cast<std::size_t>(net.num_nodes());
+  if (a.nodes.size() < n) a.nodes.resize(n);
+  a.outs.assign(n, nullptr);
+  return a;
+}
+
+// Marks `from` and its transitive consumers in ar.recompute, and points
+// every other node's output at its entry in `cache`.
+void mark_downstream(const Network& net, int from, const std::vector<Tensor>& cache,
+                     ForwardArena& ar) {
+  ar.recompute.assign(static_cast<std::size_t>(net.num_nodes()), 0);
+  ar.recompute[static_cast<std::size_t>(from)] = 1;
+  for (int id = 0; id < net.num_nodes(); ++id) {
+    if (ar.recompute[static_cast<std::size_t>(id)] == 0) {
+      ar.outs[static_cast<std::size_t>(id)] = &cache[static_cast<std::size_t>(id)];
       continue;
     }
-    const Node& n = nodes_[static_cast<std::size_t>(id)];
+    for (int child : net.node(id).children) ar.recompute[static_cast<std::size_t>(child)] = 1;
+  }
+}
+
+// Executes nodes [first, n) in topological order, each into store[id]
+// (resized to the node's output shape). With `only_marked`, only the nodes
+// marked by mark_downstream run; without, every node runs.
+void run_nodes(const Network& net, int first, bool only_marked, std::vector<Tensor>& store,
+               ForwardArena& ar, const Tensor& input, const ForwardOptions& opts) {
+  assert(net.finalized());
+  for (int id = first; id < net.num_nodes(); ++id) {
+    if (only_marked && ar.recompute[static_cast<std::size_t>(id)] == 0) continue;
+    const Network::Node& n = net.node(id);
 
     if (n.layer->kind() == LayerKind::kInput) {
-      outs[static_cast<std::size_t>(id)] = &input;
+      ar.outs[static_cast<std::size_t>(id)] = &input;
       continue;
     }
 
-    // Gather borrowed inputs.
-    std::vector<const Tensor*> ins;
-    ins.reserve(n.inputs.size());
+    ar.ins.clear();
     for (int in : n.inputs) {
-      const Tensor* t = outs[static_cast<std::size_t>(in)];
+      const Tensor* t = ar.outs[static_cast<std::size_t>(in)];
       assert(t != nullptr && "forward_from: node consumed before produced");
-      ins.push_back(t);
+      ar.ins.push_back(t);
     }
 
     // Injection into the data input of this node.
     if (opts.inject != nullptr) {
       auto it = opts.inject->find(id);
       if (it != opts.inject->end()) {
-        perturbed = *ins[0];
-        apply_injection(perturbed, it->second, opts.seed, id);
-        ins[0] = &perturbed;
+        ar.perturbed = *ar.ins[0];
+        apply_injection(ar.perturbed, it->second, opts.seed, id);
+        ar.ins[0] = &ar.perturbed;
       }
     }
 
     // Output shape at the actual batch size.
-    std::vector<Shape> in_shapes;
-    in_shapes.reserve(ins.size());
-    for (const Tensor* t : ins) in_shapes.push_back(t->shape());
-    Tensor& out = local[static_cast<std::size_t>(id)];
-    const Shape os = n.layer->output_shape(in_shapes);
-    if (out.shape() != os) out = Tensor(os);
-    n.layer->forward(ins, out);
-    outs[static_cast<std::size_t>(id)] = &out;
+    ar.in_shapes.clear();
+    for (const Tensor* t : ar.ins) ar.in_shapes.push_back(t->shape());
+    Tensor& out = store[static_cast<std::size_t>(id)];
+    out.resize(n.layer->output_shape(ar.in_shapes));
+    n.layer->forward(ar.ins, out);
+    ar.outs[static_cast<std::size_t>(id)] = &out;
   }
-  (void)cache;
 }
+
+}  // namespace
 
 Tensor Network::forward(const Tensor& input, const ForwardOptions& opts) const {
   if (metrics_enabled()) {
@@ -172,10 +207,9 @@ Tensor Network::forward(const Tensor& input, const ForwardOptions& opts) const {
     calls.add(1);
     note_forwards(input.shape().n());
   }
-  std::vector<Tensor> local(static_cast<std::size_t>(num_nodes()));
-  std::vector<const Tensor*> outs(static_cast<std::size_t>(num_nodes()), nullptr);
-  run_range(0, nullptr, nullptr, local, outs, input, opts);
-  return std::move(local[static_cast<std::size_t>(output_node())]);
+  ForwardArena& ar = forward_arena(*this);
+  run_nodes(*this, 0, false, ar.nodes, ar, input, opts);
+  return ar.nodes[static_cast<std::size_t>(output_node())];
 }
 
 std::vector<Tensor> Network::forward_all(const Tensor& input, const ForwardOptions& opts) const {
@@ -185,8 +219,7 @@ std::vector<Tensor> Network::forward_all(const Tensor& input, const ForwardOptio
     note_forwards(input.shape().n());
   }
   std::vector<Tensor> local(static_cast<std::size_t>(num_nodes()));
-  std::vector<const Tensor*> outs(static_cast<std::size_t>(num_nodes()), nullptr);
-  run_range(0, nullptr, nullptr, local, outs, input, opts);
+  run_nodes(*this, 0, false, local, forward_arena(*this), input, opts);
   // The input node's activation is the external input; materialize it so
   // the cache is self-contained.
   local[static_cast<std::size_t>(input_node_)] = input;
@@ -207,27 +240,12 @@ Tensor Network::forward_from(int from, const std::vector<Tensor>& cache,
     note_forwards(cache[static_cast<std::size_t>(input_node_)].shape().n());
   }
 
-  // Mark the transitive consumers of `from` (including itself).
-  std::vector<bool> recompute(static_cast<std::size_t>(num_nodes()), false);
-  recompute[static_cast<std::size_t>(from)] = true;
-  for (int id = from; id < num_nodes(); ++id) {
-    if (!recompute[static_cast<std::size_t>(id)]) continue;
-    for (int child : nodes_[static_cast<std::size_t>(id)].children)
-      recompute[static_cast<std::size_t>(child)] = true;
-  }
-
-  std::vector<Tensor> local(static_cast<std::size_t>(num_nodes()));
-  std::vector<const Tensor*> outs(static_cast<std::size_t>(num_nodes()), nullptr);
-  for (int id = 0; id < num_nodes(); ++id) {
-    if (!recompute[static_cast<std::size_t>(id)]) outs[static_cast<std::size_t>(id)] = &cache[static_cast<std::size_t>(id)];
-  }
-  const Tensor& input = cache[static_cast<std::size_t>(input_node_)];
-  run_range(from, &recompute, &cache, local, outs, input, opts);
-
-  const int out_id = output_node();
-  if (recompute[static_cast<std::size_t>(out_id)])
-    return std::move(local[static_cast<std::size_t>(out_id)]);
-  return cache[static_cast<std::size_t>(out_id)];
+  ForwardArena& ar = forward_arena(*this);
+  mark_downstream(*this, from, cache, ar);
+  const auto out_id = static_cast<std::size_t>(output_node());
+  if (ar.recompute[out_id] == 0) return cache[out_id];
+  run_nodes(*this, from, true, ar.nodes, ar, cache[static_cast<std::size_t>(input_node_)], opts);
+  return ar.nodes[out_id];
 }
 
 void Network::update_from(int from, std::vector<Tensor>& acts, const ForwardOptions& opts) const {
@@ -235,25 +253,11 @@ void Network::update_from(int from, std::vector<Tensor>& acts, const ForwardOpti
   assert(from >= 0 && from < num_nodes());
   assert(acts.size() == static_cast<std::size_t>(num_nodes()));
 
-  std::vector<bool> recompute(static_cast<std::size_t>(num_nodes()), false);
-  recompute[static_cast<std::size_t>(from)] = true;
-  for (int id = from; id < num_nodes(); ++id) {
-    if (!recompute[static_cast<std::size_t>(id)]) continue;
-    for (int child : nodes_[static_cast<std::size_t>(id)].children)
-      recompute[static_cast<std::size_t>(child)] = true;
-  }
-
-  std::vector<Tensor> local(static_cast<std::size_t>(num_nodes()));
-  std::vector<const Tensor*> outs(static_cast<std::size_t>(num_nodes()), nullptr);
-  for (int id = 0; id < num_nodes(); ++id) {
-    if (!recompute[static_cast<std::size_t>(id)]) outs[static_cast<std::size_t>(id)] = &acts[static_cast<std::size_t>(id)];
-  }
-  const Tensor input = acts[static_cast<std::size_t>(input_node_)];
-  run_range(from, &recompute, &acts, local, outs, input, opts);
-  for (int id = from; id < num_nodes(); ++id) {
-    if (recompute[static_cast<std::size_t>(id)] && id != input_node_)
-      acts[static_cast<std::size_t>(id)] = std::move(local[static_cast<std::size_t>(id)]);
-  }
+  // Recomputes straight into `acts`: a marked node's entry is only read
+  // after this pass has rewritten it, and the input node is never written.
+  ForwardArena& ar = forward_arena(*this);
+  mark_downstream(*this, from, acts, ar);
+  run_nodes(*this, from, true, acts, ar, acts[static_cast<std::size_t>(input_node_)], opts);
 }
 
 std::vector<double> Network::profile_input_ranges(const Tensor& input) const {

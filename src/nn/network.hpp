@@ -130,11 +130,6 @@ class Network {
   std::int64_t total_macs() const;
 
  private:
-  void run_range(int first, const std::vector<bool>* recompute,
-                 const std::vector<Tensor>* cache, std::vector<Tensor>& local,
-                 std::vector<const Tensor*>& outs, const Tensor& input,
-                 const ForwardOptions& opts) const;
-
   std::string name_;
   std::vector<Node> nodes_;
   std::unordered_map<std::string, int> by_name_;

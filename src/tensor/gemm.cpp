@@ -7,6 +7,7 @@
 #include "obs/metrics.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/parallel.hpp"
+#include "tensor/tensor.hpp"
 
 namespace mupod {
 namespace {
@@ -88,7 +89,7 @@ void pack_b_strip(const float* b, std::int64_t ldb, bool trans_b, std::int64_t j
 // exactly once at the end — this fixed order is what makes the whole GEMM
 // bitwise independent of the task decomposition (within a fixed ISA).
 
-// Edge tile (mr_cur < mr and/or nr_cur < nr), generic over the registry
+// Column-edge tile (nr_cur < nr, any mr_cur), generic over the registry
 // geometry. Accumulates column-major so the inner loop runs over the
 // r-contiguous packed A strip; only the valid nr_cur columns are computed,
 // which keeps the n == 1 (GEMV) case at full efficiency instead of
@@ -112,6 +113,30 @@ void micro_edge(int kc, int mr, int nr, int mr_cur, int nr_cur, const float* __r
       for (int cc = 0; cc < nr_cur; ++cc) crow[cc] += acc[cc][r];
     } else {
       for (int cc = 0; cc < nr_cur; ++cc) crow[cc] = beta * crow[cc] + acc[cc][r];
+    }
+  }
+}
+
+// Row-edge tile (mr_cur < mr, nr_cur == nr): the registry's mul+add kernel
+// over the zero-padded A strip into a local tile, then the valid rows merge
+// into C with micro_edge's store expressions. Both kernels form each
+// element as the same ascending-k chain of separate multiplies and adds, so
+// the result is bitwise micro_edge's, at SIMD speed instead of generic
+// loops that compute all mr rows anyway. The padded rows are discarded.
+void micro_row_edge(const KernelRegistry& reg, int kc, int mr_cur, const float* ap,
+                    const float* bp, float* __restrict c, std::int64_t ldc, float beta) {
+  const int nr = reg.nr;
+  float tile[kMaxMr * kMaxNr];
+  reg.sgemm_micro_mul_add(kc, ap, bp, tile, nr, 0.0f);
+  for (int r = 0; r < mr_cur; ++r) {
+    const float* trow = tile + r * nr;
+    float* crow = c + r * ldc;
+    if (beta == 0.0f) {
+      for (int cc = 0; cc < nr; ++cc) crow[cc] = trow[cc];
+    } else if (beta == 1.0f) {
+      for (int cc = 0; cc < nr; ++cc) crow[cc] += trow[cc];
+    } else {
+      for (int cc = 0; cc < nr; ++cc) crow[cc] = beta * crow[cc] + trow[cc];
     }
   }
 }
@@ -227,7 +252,7 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
       else if (beta != 1.0f)
         for (std::int64_t j = 0; j < n; ++j) crow[j] *= beta;
       if (relu)
-        for (std::int64_t j = 0; j < n; ++j) crow[j] = crow[j] > 0.0f ? crow[j] : 0.0f;
+        for (std::int64_t j = 0; j < n; ++j) crow[j] = relu_exact(crow[j]);
     }
     return;
   }
@@ -308,15 +333,16 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
             const int mr_cur = static_cast<int>(std::min<std::int64_t>(MR, mc_cur - ir * MR));
             const float* as = ap + static_cast<std::size_t>(ir) * kc * MR;
             float* ct = c + (i0 + ir * MR) * ldc + j0;
-            if (mr_cur == MR && nr_cur == NR)
-              reg.sgemm_micro(kc, as, bs, ct, ldc, beta_pc);
-            else
+            if (nr_cur < NR)
               micro_edge(kc, MR, NR, mr_cur, nr_cur, as, bs, ct, ldc, beta_pc);
+            else if (mr_cur < MR)
+              micro_row_edge(reg, kc, mr_cur, as, bs, ct, ldc, beta_pc);
+            else
+              reg.sgemm_micro(kc, as, bs, ct, ldc, beta_pc);
             if (relu_pc) {
               for (int r = 0; r < mr_cur; ++r) {
                 float* crow = ct + r * ldc;
-                for (int cc = 0; cc < nr_cur; ++cc)
-                  crow[cc] = crow[cc] > 0.0f ? crow[cc] : 0.0f;
+                for (int cc = 0; cc < nr_cur; ++cc) crow[cc] = relu_exact(crow[cc]);
               }
             }
           }

@@ -106,6 +106,13 @@ struct KernelRegistry {
   int mr, nr;
   void (*sgemm_micro)(int kc, const float* ap, const float* bp, float* c,
                       std::int64_t ldc, float beta);
+  // Same geometry and contract, but always separate multiply then add —
+  // the arithmetic of gemm.cpp's generic edge tile. gemm() runs row-edge
+  // tiles (fewer than mr valid rows, all nr columns) through it, so an
+  // edge tile's bits do not change when the full-tile kernel is FMA.
+  // Equal to sgemm_micro except under kAvx2Fma, where it is kAvx2's kernel.
+  void (*sgemm_micro_mul_add)(int kc, const float* ap, const float* bp, float* c,
+                              std::int64_t ldc, float beta);
 
   // Integer micro-kernels; null => qgemm.cpp uses its generic C++ path.
   // acc is the kQMr x kQNr int32/int64 accumulator tile, accumulated

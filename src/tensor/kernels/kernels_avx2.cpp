@@ -334,6 +334,7 @@ const KernelRegistry& avx2_kernel_registry() {
       MR,
       NR,
       &sgemm_micro_avx2,
+      &sgemm_micro_avx2,
       &qmicro8_madd_avx2,
       &qmicro8_maddubs_avx2,
       &qmicro16_madd_avx2,
@@ -353,6 +354,7 @@ const KernelRegistry& avx2_fma_kernel_registry() {
       MR,
       NR,
       &sgemm_micro_6x16_fma,
+      &sgemm_micro_avx2,
       &qmicro8_madd_avx2,
       &qmicro8_maddubs_avx2,
       &qmicro16_madd_avx2,

@@ -54,6 +54,7 @@ const KernelRegistry& scalar_kernel_registry() {
       MR,
       NR,
       &sgemm_micro_scalar,
+      &sgemm_micro_scalar,
       nullptr,  // qmicro8
       nullptr,  // qmicro8_maddubs
       nullptr,  // qmicro16

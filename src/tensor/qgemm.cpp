@@ -1,7 +1,6 @@
 #include "tensor/qgemm.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -10,6 +9,7 @@
 #include "tensor/gemm.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/parallel.hpp"
+#include "tensor/tensor.hpp"
 
 namespace mupod {
 namespace {
@@ -140,15 +140,9 @@ std::int64_t store_tile(const Acc acc[QMR][QNR], std::int64_t i0, std::int64_t j
         v += ep.bias_col[j0 + cc];
       if (!ep.quant_store) {
         float f = static_cast<float>(static_cast<double>(v) * ep.scale);
-        // Branchless relu: GCC compiles `f > 0 ? f : 0` (and std::max) to
-        // comiss+branch here, and that branch mispredicts ~50% on
-        // random-sign accumulators — costing more than the fused relu
-        // saves. Masking with the comparison result forces setcc+and and
-        // keeps the ternary's exact semantics (+0 for negatives, -0.0,
-        // and NaN alike).
-        if (ep.relu)
-          f = std::bit_cast<float>(std::bit_cast<std::uint32_t>(f) &
-                                   -static_cast<std::uint32_t>(f > 0.0f));
+        // Branchless: the ternary form mispredicts ~50% on random-sign
+        // accumulators, costing more than the fused relu saves.
+        if (ep.relu) f = relu_exact(f);
         static_cast<float*>(c)[(i0 + r) * ldc + j0 + cc] = f;
       } else {
         std::int32_t q = apply_requant(v, ep.requant);

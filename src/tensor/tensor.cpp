@@ -27,6 +27,11 @@ void Tensor::reshape(const Shape& s) {
   shape_ = s;
 }
 
+void Tensor::resize(const Shape& s) {
+  shape_ = s;
+  data_.resize(static_cast<std::size_t>(std::max<std::int64_t>(s.numel(), 0)));
+}
+
 void Tensor::apply(const std::function<float(float)>& f) {
   for (float& v : data_) v = f(v);
 }

@@ -2,6 +2,7 @@
 // utilities the inference engine and the precision-analysis passes need.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -39,6 +40,10 @@ class Tensor {
   void fill(float v);
   // Reinterpret the buffer with a new shape of identical numel.
   void reshape(const Shape& s);
+  // Give the tensor shape `s` of any numel, keeping the buffer: no
+  // reallocation when `s` fits the capacity the tensor has had. Contents
+  // are unspecified afterwards; for output buffers the caller overwrites.
+  void resize(const Shape& s);
 
   // Elementwise in-place transforms.
   void apply(const std::function<float(float)>& f);
@@ -68,6 +73,15 @@ class Tensor {
   Shape shape_;
   std::vector<float> data_;
 };
+
+// The engine's ReLU: exactly `x > 0.0f ? x : 0.0f`, so negatives, -0.0 and
+// NaN all give +0.0. Written as a mask of the comparison result because
+// compilers turn the ternary into a compare-and-branch that mispredicts on
+// random-sign activations; the mask form is branch-free and vectorizes.
+inline float relu_exact(float x) {
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(x) &
+                              -static_cast<std::uint32_t>(x > 0.0f));
+}
 
 // out = a - b (shapes must match).
 Tensor subtract(const Tensor& a, const Tensor& b);

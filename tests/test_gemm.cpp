@@ -14,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "stats/rng.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "zoo/zoo.hpp"
 
 namespace mupod {
@@ -263,6 +264,106 @@ TEST(GemmDeterminism, BatchDecompositionInvariant) {
                              static_cast<std::size_t>(img_out) * sizeof(float)))
         << "image " << n;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Edge tiles. Row-edge tiles (fewer than MR valid rows, all NR columns) run
+// the registry's mul+add kernel on a zero-padded tile; they must keep the
+// bits of the generic edge loop they replaced, under every ISA — including
+// kAvx2Fma, whose full tiles are fused. The reference below replays the
+// tile schedule of gemm() serially with a copy of that generic loop.
+
+// The generic edge tile as gemm() has always computed it.
+void edge_reference(int kc, int mr, int nr, int mr_cur, int nr_cur, const float* ap,
+                    const float* bp, float* c, std::int64_t ldc, float beta) {
+  float acc[kMaxNr][kMaxMr] = {};
+  for (int kk = 0; kk < kc; ++kk) {
+    const float* ak = ap + static_cast<std::ptrdiff_t>(kk) * mr;
+    const float* bk = bp + static_cast<std::ptrdiff_t>(kk) * nr;
+    for (int cc = 0; cc < nr_cur; ++cc) {
+      const float bv = bk[cc];
+      for (int r = 0; r < mr; ++r) acc[cc][r] += ak[r] * bv;
+    }
+  }
+  for (int r = 0; r < mr_cur; ++r) {
+    float* crow = c + r * ldc;
+    if (beta == 0.0f) {
+      for (int cc = 0; cc < nr_cur; ++cc) crow[cc] = acc[cc][r];
+    } else if (beta == 1.0f) {
+      for (int cc = 0; cc < nr_cur; ++cc) crow[cc] += acc[cc][r];
+    } else {
+      for (int cc = 0; cc < nr_cur; ++cc) crow[cc] = beta * crow[cc] + acc[cc][r];
+    }
+  }
+}
+
+// Serial replay of gemm()'s arithmetic: per KC panel (beta on the first,
+// 1 after), per MR x NR tile, pack zero-padded strips, run the active
+// full-tile kernel or the edge reference, clamp on the last panel.
+void tiled_reference(const KernelRegistry& reg, std::int64_t m, std::int64_t n, std::int64_t k,
+                     const float* a, const float* b, float beta, float* c, bool relu) {
+  const int mr = reg.mr, nr = reg.nr, kcmax = gemm_blocking().kc;
+  std::vector<float> ap(static_cast<std::size_t>(kcmax * mr));
+  std::vector<float> bp(static_cast<std::size_t>(kcmax * nr));
+  for (std::int64_t pc = 0; pc < k; pc += kcmax) {
+    const int kc = static_cast<int>(std::min<std::int64_t>(kcmax, k - pc));
+    const float beta_pc = pc == 0 ? beta : 1.0f;
+    for (std::int64_t i0 = 0; i0 < m; i0 += mr) {
+      const int mr_cur = static_cast<int>(std::min<std::int64_t>(mr, m - i0));
+      for (std::int64_t j0 = 0; j0 < n; j0 += nr) {
+        const int nr_cur = static_cast<int>(std::min<std::int64_t>(nr, n - j0));
+        for (int kk = 0; kk < kc; ++kk) {
+          for (int r = 0; r < mr; ++r)
+            ap[static_cast<std::size_t>(kk * mr + r)] = r < mr_cur ? a[(i0 + r) * k + pc + kk] : 0.0f;
+          for (int cc = 0; cc < nr; ++cc)
+            bp[static_cast<std::size_t>(kk * nr + cc)] =
+                cc < nr_cur ? b[(pc + kk) * n + j0 + cc] : 0.0f;
+        }
+        float* ct = c + i0 * n + j0;
+        if (mr_cur == mr && nr_cur == nr)
+          reg.sgemm_micro(kc, ap.data(), bp.data(), ct, n, beta_pc);
+        else
+          edge_reference(kc, mr, nr, mr_cur, nr_cur, ap.data(), bp.data(), ct, n, beta_pc);
+        if (relu && pc + kcmax >= k)
+          for (int r = 0; r < mr_cur; ++r)
+            for (int cc = 0; cc < nr_cur; ++cc) {
+              float& v = ct[r * n + cc];
+              v = v > 0.0f ? v : 0.0f;
+            }
+      }
+    }
+  }
+}
+
+TEST(GemmEdgeTiles, BitwiseEqualToGenericEdgeUnderEveryIsa) {
+  const KernelIsa saved = kernel_isa();
+  int isas_run = 0;
+  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx2Fma}) {
+    if (!kernel_isa_available(isa)) continue;
+    set_kernel_isa(isa);
+    ++isas_run;
+    const KernelRegistry& reg = kernel_registry();
+    const GemmBlocking bl = gemm_blocking();
+    ASSERT_EQ(reg.mr, bl.mr);
+    for (std::int64_t m = 1; m <= bl.mr + 1; ++m)
+      for (std::int64_t n : {1, bl.nr - 1, bl.nr, bl.nr + 1})
+        for (std::int64_t k : {1, 7, bl.kc, bl.kc + 5})
+          for (float beta : {0.0f, 1.0f, 0.5f})
+            for (bool relu : {false, true}) {
+              const std::uint64_t seed = static_cast<std::uint64_t>(m * 1000 + n * 10 + k);
+              const std::vector<float> a = random_vec(static_cast<std::size_t>(m * k), seed);
+              const std::vector<float> b = random_vec(static_cast<std::size_t>(k * n), seed + 1);
+              std::vector<float> c = random_vec(static_cast<std::size_t>(m * n), seed + 2);
+              std::vector<float> want = c;
+              gemm(m, n, k, a.data(), k, b.data(), n, beta, c.data(), n, false, relu);
+              tiled_reference(reg, m, n, k, a.data(), b.data(), beta, want.data(), relu);
+              ASSERT_EQ(0, std::memcmp(c.data(), want.data(), c.size() * sizeof(float)))
+                  << kernel_isa_name(isa) << " m=" << m << " n=" << n << " k=" << k
+                  << " beta=" << beta << " relu=" << relu;
+            }
+  }
+  set_kernel_isa(saved);
+  EXPECT_GE(isas_run, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <tuple>
 #include <vector>
 
 namespace mupod {
@@ -207,6 +211,75 @@ TEST(ReLU, ClampsNegatives) {
   EXPECT_FLOAT_EQ(y[1], 0.0f);
   EXPECT_FLOAT_EQ(y[2], 2.0f);
   EXPECT_FLOAT_EQ(y[3], 0.0f);
+}
+
+// The values where a rewritten comparison could differ from the reference
+// expression: NaNs of both signs (and a payload), signed zeros, infinities,
+// denormals, and the smallest normals.
+std::vector<float> special_values() {
+  const float qnan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float fmin = std::numeric_limits<float>::min();
+  std::uint32_t payload_bits = 0x7fc01234u;
+  float payload_nan;
+  std::memcpy(&payload_nan, &payload_bits, sizeof payload_nan);
+  return {qnan, -qnan, payload_nan, 0.0f, -0.0f, inf, -inf, tiny, -tiny, 3 * tiny, -3 * tiny,
+          fmin / 2, -fmin / 2, fmin, -fmin, 1.5f, -1.5f, std::numeric_limits<float>::max(),
+          std::numeric_limits<float>::lowest()};
+}
+
+bool same_bytes(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(ReLU, SpecialValuesMatchReferenceBytes) {
+  const std::vector<float> sv = special_values();
+  // Long enough for the vector body and a scalar tail of any width.
+  Tensor x(Shape({67}));
+  for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = sv[static_cast<std::size_t>(i) % sv.size()];
+  const Tensor y = run(ReLULayer(), {&x});
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    const float want = x[i] > 0.0f ? x[i] : 0.0f;
+    EXPECT_TRUE(same_bytes(y[i], want)) << "element " << i << " input " << x[i];
+    EXPECT_TRUE(same_bytes(relu_exact(x[i]), want)) << "input " << x[i];
+  }
+}
+
+TEST(MaxPool, SpecialValuesMatchReferenceBytes) {
+  const std::vector<float> sv = special_values();
+  // Every window mixes specials in a different order; NaN-only and
+  // signed-zero-only windows come from the repetition.
+  Tensor x(Shape({2, 3, 7, 9}));
+  for (std::int64_t i = 0; i < x.numel(); ++i)
+    x[i] = sv[static_cast<std::size_t>((i * 7 + i / 5) % static_cast<std::int64_t>(sv.size()))];
+  for (const auto& [kernel, stride, pad, global] :
+       {std::tuple{2, 2, 0, false}, std::tuple{3, 2, 1, false}, std::tuple{3, 1, 0, false},
+        std::tuple{1, 1, 0, true}}) {
+    PoolLayer::Config cfg;
+    cfg.mode = PoolLayer::Mode::kMax;
+    cfg.kernel = kernel;
+    cfg.stride = stride;
+    cfg.pad = pad;
+    cfg.global = global;
+    const PoolLayer pool(cfg);
+    const Tensor y = run(pool, {&x});
+    const int H = x.shape().h(), W = x.shape().w(), OH = y.shape().h(), OW = y.shape().w();
+    for (int n = 0; n < 2; ++n)
+      for (int c = 0; c < 3; ++c)
+        for (int oh = 0; oh < OH; ++oh)
+          for (int ow = 0; ow < OW; ++ow) {
+            // Reference: std::max folded from -inf in row-major window order.
+            const int h0 = global ? 0 : std::max(oh * stride - pad, 0);
+            const int w0 = global ? 0 : std::max(ow * stride - pad, 0);
+            const int h1 = global ? H : std::min(oh * stride - pad + kernel, H);
+            const int w1 = global ? W : std::min(ow * stride - pad + kernel, W);
+            float want = -std::numeric_limits<float>::infinity();
+            for (int h = h0; h < h1; ++h)
+              for (int w = w0; w < w1; ++w) want = std::max(want, x.at(n, c, h, w));
+            EXPECT_TRUE(same_bytes(y.at(n, c, oh, ow), want))
+                << "kernel " << kernel << " stride " << stride << " pad " << pad << " at (" << n
+                << "," << c << "," << oh << "," << ow << ")";
+          }
+  }
 }
 
 TEST(Softmax, NormalizesRows) {

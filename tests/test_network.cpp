@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <thread>
 
 #include "nn/layers.hpp"
 #include "stats/rng.hpp"
@@ -205,6 +207,169 @@ TEST(Network, FinalizeRequiredBeforeUse) {
   Network net;
   net.add_input("data", 1, 2, 2);
   EXPECT_THROW(net.finalize(), std::logic_error);  // single-node network
+}
+
+// ---------------------------------------------------------------------------
+// Forward arena. forward / forward_from run in a per-thread grow-only
+// arena; these tests pin them bitwise to the fresh-allocation executor they
+// replaced, across the reuse patterns that could leak state between calls.
+// Compiled into the `sanitize`-labeled binary, so the TSan lane of
+// scripts/run_sanitized_tests.sh runs the 4-thread case with real pool
+// interleavings.
+
+// The fresh-allocation reference: every node output is a new zero-filled
+// tensor, injected inputs are fresh copies.
+Tensor reference_forward(const Network& net, const Tensor& input, const ForwardOptions& opts = {}) {
+  std::vector<Tensor> outs(static_cast<std::size_t>(net.num_nodes()));
+  for (int id = 0; id < net.num_nodes(); ++id) {
+    const Network::Node& n = net.node(id);
+    if (n.layer->kind() == LayerKind::kInput) {
+      outs[static_cast<std::size_t>(id)] = input;
+      continue;
+    }
+    std::vector<const Tensor*> ins;
+    for (int in : n.inputs) ins.push_back(&outs[static_cast<std::size_t>(in)]);
+    Tensor perturbed;
+    if (opts.inject != nullptr) {
+      auto it = opts.inject->find(id);
+      if (it != opts.inject->end()) {
+        perturbed = *ins[0];
+        apply_injection(perturbed, it->second, opts.seed, id);
+        ins[0] = &perturbed;
+      }
+    }
+    std::vector<Shape> shapes;
+    for (const Tensor* t : ins) shapes.push_back(t->shape());
+    Tensor out(n.layer->output_shape(shapes));
+    n.layer->forward(ins, out);
+    outs[static_cast<std::size_t>(id)] = std::move(out);
+  }
+  return outs[static_cast<std::size_t>(net.output_node())];
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+ZooModel small_tiny_cnn() {
+  ZooOptions zo;
+  zo.calibration_images = 4;
+  zo.head_images = 0;
+  return build_tiny_cnn(zo);
+}
+
+// One network's expected outputs for a fixed schedule of calls: a plain
+// forward and a noisy forward_from at every analyzable node, per batch size.
+struct ArenaCase {
+  const Network* net;
+  int batch;
+  Tensor input;
+  std::vector<Tensor> cache;
+  std::vector<std::unordered_map<int, InjectionSpec>> injects;  // one per analyzable node
+  Tensor plain;
+  std::vector<Tensor> injected;  // reference for forward_from(node, cache, inject)
+};
+
+ArenaCase make_arena_case(const Network& net, int batch, std::uint64_t seed) {
+  ArenaCase c;
+  c.net = &net;
+  c.batch = batch;
+  const Shape unit = net.node(net.input_node()).unit_shape;
+  c.input = random_input(unit.with_dim(0, batch), seed);
+  c.cache = net.forward_all(c.input);
+  c.plain = reference_forward(net, c.input);
+  for (int id : net.analyzable_nodes()) {
+    std::unordered_map<int, InjectionSpec> inj;
+    inj.emplace(id, InjectionSpec::uniform(0.05));
+    c.injects.push_back(std::move(inj));
+  }
+  for (const auto& inj : c.injects) {
+    ForwardOptions opts;
+    opts.inject = &inj;
+    opts.seed = seed;
+    c.injected.push_back(reference_forward(net, c.input, opts));
+  }
+  return c;
+}
+
+// Runs the case's schedule through the arena-backed entry points; returns
+// the number of outputs that differ from the reference.
+int run_arena_case(const ArenaCase& c, std::uint64_t seed) {
+  int mismatches = 0;
+  if (!bitwise_equal(c.net->forward(c.input), c.plain)) ++mismatches;
+  for (std::size_t i = 0; i < c.injects.size(); ++i) {
+    ForwardOptions opts;
+    opts.inject = &c.injects[i];
+    opts.seed = seed;
+    const int node = c.injects[i].begin()->first;
+    if (!bitwise_equal(c.net->forward_from(node, c.cache, opts), c.injected[i])) ++mismatches;
+    if (!bitwise_equal(c.net->forward(c.input, opts), c.injected[i])) ++mismatches;
+  }
+  return mismatches;
+}
+
+TEST(ForwardArena, ChangingBatchSizesMatchFreshAllocation) {
+  const ZooModel model = small_tiny_cnn();
+  // Grow, shrink, regrow: a stale tail or a skipped resize would show.
+  for (int batch : {3, 1, 5, 2, 5, 1}) {
+    const ArenaCase c = make_arena_case(model.net, batch, 100 + static_cast<std::uint64_t>(batch));
+    EXPECT_EQ(run_arena_case(c, 100 + static_cast<std::uint64_t>(batch)), 0) << "batch " << batch;
+  }
+}
+
+TEST(ForwardArena, InterleavedNetworksOnOneThread) {
+  const ZooModel model = small_tiny_cnn();
+  const Network diamond = make_diamond();
+  const ArenaCase a = make_arena_case(model.net, 4, 7);
+  const ArenaCase b = make_arena_case(diamond, 3, 8);
+  const ArenaCase a1 = make_arena_case(model.net, 1, 9);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(run_arena_case(a, 7), 0) << "round " << round;
+    EXPECT_EQ(run_arena_case(b, 8), 0) << "round " << round;
+    EXPECT_EQ(run_arena_case(a1, 9), 0) << "round " << round;
+  }
+}
+
+TEST(ForwardArena, FourThreadsAtOnce) {
+  const ZooModel model = small_tiny_cnn();
+  const Network diamond = make_diamond();
+  std::vector<ArenaCase> cases;
+  cases.push_back(make_arena_case(model.net, 4, 11));
+  cases.push_back(make_arena_case(diamond, 2, 12));
+  cases.push_back(make_arena_case(model.net, 1, 13));
+  cases.push_back(make_arena_case(diamond, 5, 14));
+  const std::uint64_t seeds[] = {11, 12, 13, 14};
+
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks all cases from a different start, so every
+      // thread's arena sees both networks and several batch sizes.
+      for (int round = 0; round < 3; ++round)
+        for (int i = 0; i < 4; ++i) {
+          const int k = (t + i) % 4;
+          mismatches[static_cast<std::size_t>(t)] +=
+              run_arena_case(cases[static_cast<std::size_t>(k)], seeds[k]);
+        }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < 4; ++t) EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+}
+
+TEST(ForwardArena, UpdateFromMatchesFreshForwardAll) {
+  Network net = make_diamond();
+  const Tensor x = random_input(Shape({3, 2, 4, 4}), 15);
+  std::vector<Tensor> acts = net.forward_all(x);
+  const int target = net.node_id("branch_b");
+  *net.layer(target).mutable_weights() *= 0.5f;
+  net.update_from(target, acts);
+  const std::vector<Tensor> fresh = net.forward_all(x);
+  for (int k = 0; k < net.num_nodes(); ++k)
+    EXPECT_TRUE(bitwise_equal(acts[static_cast<std::size_t>(k)], fresh[static_cast<std::size_t>(k)]))
+        << "node " << k;
 }
 
 }  // namespace

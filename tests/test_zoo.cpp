@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "data/synthetic.hpp"
 #include "nn/layers.hpp"
@@ -29,6 +30,10 @@ struct LayerCountCase {
   const char* name;
   int layers;
 };
+
+// Without this, gtest prints the raw bytes of the case, pointer included, so
+// the listed test name changed with every process (address randomisation).
+void PrintTo(const LayerCountCase& c, std::ostream* os) { *os << c.name << '/' << c.layers; }
 
 class ZooLayerCount : public ::testing::TestWithParam<LayerCountCase> {};
 

@@ -1,23 +1,19 @@
-// bench_forward: min-of-N forward throughput per zoo network, old scalar
-// path vs the register-blocked packed GEMM path (src/tensor/gemm.cpp), on
-// the same binary via set_gemm_mode. Two batch sizes per network:
+// bench_forward: min-of-N forward throughput per zoo network on the
+// register-blocked packed GEMM path (src/tensor/gemm.cpp). Two batch
+// sizes per network:
 //
-//   batch 1   the serving case — the old conv path had no intra-image
-//             parallelism (it fanned over image x group), so this is where
-//             GEMM tile-task scheduling matters most;
-//   batch 8   the profiling case, where both paths parallelise across
-//             images and the win is per-core kernel throughput.
-//
-// Each (network, batch) row also cross-checks the two paths against each
-// other (max |Δ| over the output logits) — the kernel swap must change
-// wall time, never the answer beyond float reassociation.
+//   batch 1   the serving case, where GEMM tile-task scheduling inside
+//             one image matters most;
+//   batch 8   the profiling case, where the conv layers parallelise
+//             across images and the win is per-core kernel throughput.
 //
 // Each row additionally times the INTEGER execution backend
-// (quant/qexec + tensor/qgemm) at int16 and int8 activation formats
-// derived from the network's own profiled input ranges — the
-// edge-deployment measurement the paper's cost models predict. The
-// integer columns report wall time plus max |Δ| vs the float logits
-// (bounded by the formats' quantization error, NOT zero).
+// (tensor/qgemm through the unfused compile, every CompileOptions rule
+// off) at int16 and int8 activation formats derived from the network's
+// own profiled input ranges — the edge-deployment measurement the
+// paper's cost models predict. The integer columns report wall time plus
+// max |Δ| vs the float logits (bounded by the formats' quantization
+// error, NOT zero).
 //
 // Each row ALSO times the §17 graph-compiler artifacts — the fused float
 // program the inference server registers and the fused int8 program a
@@ -45,9 +41,7 @@
 #include "compile/compiled_network.hpp"
 #include "compile/graph_compiler.hpp"
 #include "io/json_writer.hpp"
-#include "quant/qexec.hpp"
 #include "stats/rng.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/parallel.hpp"
 #include "zoo/zoo.hpp"
@@ -60,9 +54,7 @@ using mupod::bench::Stopwatch;
 struct Row {
   std::string net;
   int batch = 0;
-  double legacy_ms = 0.0;
   double blocked_ms = 0.0;
-  double max_abs_diff = 0.0;
   double int16_ms = 0.0;
   double int8_ms = 0.0;
   double int16_max_diff = 0.0;  // vs float logits; bounded by quant error
@@ -72,7 +64,6 @@ struct Row {
   double int8_fused_ms = 0.0;      // compiled int8 program
   double int8_fused_max_diff = 0.0;
   FusionCoverage fusion;           // from the int8 compile
-  double speedup() const { return blocked_ms > 0.0 ? legacy_ms / blocked_ms : 0.0; }
   double int8_fused_speedup() const {
     return int8_fused_ms > 0.0 ? int8_ms / int8_fused_ms : 0.0;
   }
@@ -94,16 +85,6 @@ std::vector<FixedPointFormat> uniform_formats(const ZooModel& model, const Tenso
   return fmts;
 }
 
-double min_qforward_ms(const QuantizedNetwork& qnet, const Tensor& x, int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    Stopwatch sw;
-    Tensor y = qnet.forward(x);
-    best = std::min(best, sw.seconds() * 1e3);
-  }
-  return best;
-}
-
 double min_cforward_ms(const CompiledNetwork& cnet, const Tensor& x, int reps) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
@@ -119,7 +100,7 @@ double min_cforward_ms(const CompiledNetwork& cnet, const Tensor& x, int reps) {
 // (VM frequency wander, thermal throttling) lands on both measurements
 // equally, so the difference between the two minima reflects real work
 // rather than which program happened to run during the fast phase.
-std::pair<double, double> min_interleaved_ms(const QuantizedNetwork& qnet,
+std::pair<double, double> min_interleaved_ms(const CompiledNetwork& qnet,
                                              const CompiledNetwork& cnet, const Tensor& x,
                                              int reps) {
   double best_q = 1e300, best_c = 1e300;
@@ -223,13 +204,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  bench::print_header("forward throughput: legacy scalar path vs blocked GEMM path",
+  bench::print_header("forward throughput: float, unfused and fused integer, compiled paths",
                       "forward hot path (Eq. 5 profiling / sigma search cost)");
   std::printf("workers %d (MUPOD_THREADS to pin), min of %d rep(s), kernel ISA %s\n\n",
               parallel_worker_count(), reps, kernel_isa_name(kernel_isa()));
-  std::printf("%-10s %5s  %12s %12s %8s %12s %10s %10s %10s %10s %8s\n", "net", "batch",
-              "legacy ms", "blocked ms", "speedup", "max |diff|", "int16 ms", "int8 ms",
-              "fused ms", "i8fuse ms", "i8 gain");
+  std::printf("%-10s %5s  %12s %10s %10s %10s %10s %8s\n", "net", "batch", "blocked ms",
+              "int16 ms", "int8 ms", "fused ms", "i8fuse ms", "i8 gain");
 
   std::vector<Row> rows;
   bool all_finite = true;
@@ -243,39 +223,29 @@ int main(int argc, char** argv) {
     for (const int batch : {1, 8}) {
       const Tensor x = random_input(model, batch, 7 + batch);
 
-      set_gemm_mode(GemmMode::kLegacy);
-      Tensor y_legacy = model.net.forward(x);  // warm-up + parity reference
-      const double legacy_ms = min_forward_ms(model.net, x, reps);
-
-      set_gemm_mode(GemmMode::kBlocked);
-      Tensor y_blocked = model.net.forward(x);
+      Tensor y_blocked = model.net.forward(x);  // warm-up + parity reference
       const double blocked_ms = min_forward_ms(model.net, x, reps);
-      set_gemm_mode(GemmMode::kBlocked);
 
       Row row;
       row.net = name;
       row.batch = batch;
-      row.legacy_ms = legacy_ms;
       row.blocked_ms = blocked_ms;
-      for (std::int64_t i = 0; i < y_legacy.numel(); ++i) {
-        const double d = std::abs(static_cast<double>(y_legacy[i]) - y_blocked[i]);
-        if (!(d < 1e30)) all_finite = false;
-        row.max_abs_diff = std::max(row.max_abs_diff, d);
-      }
+      for (std::int64_t i = 0; i < y_blocked.numel(); ++i)
+        if (!(std::abs(y_blocked[i]) < 1e30f)) all_finite = false;
 
       // Integer backend: uniform 16-bit and 8-bit activation formats from
       // the network's own profiled ranges, weights at the same width.
       {
-        QExecOptions qo16;
-        qo16.weight_bits = 16;
-        QuantizedNetwork q16(model.net, model.analyzed, uniform_formats(model, x, 16), qo16);
+        const CompiledNetwork q16 = GraphCompiler(CompileOptions::unfused(16))
+                                        .compile(model.net, model.analyzed,
+                                                 uniform_formats(model, x, 16));
         Tensor y16 = q16.forward(x);  // warm-up + parity sample
-        row.int16_ms = min_qforward_ms(q16, x, reps);
+        row.int16_ms = min_cforward_ms(q16, x, reps);
         row.int16_max_diff = max_diff(y_blocked, y16);
 
-        QExecOptions qo8;
-        qo8.weight_bits = 8;
-        QuantizedNetwork q8(model.net, model.analyzed, uniform_formats(model, x, 8), qo8);
+        const CompiledNetwork q8 = GraphCompiler(CompileOptions::unfused(8))
+                                       .compile(model.net, model.analyzed,
+                                                uniform_formats(model, x, 8));
         Tensor y8 = q8.forward(x);
         row.int8_max_diff = max_diff(y_blocked, y8);
         if (!(row.int16_max_diff < 1e30) || !(row.int8_max_diff < 1e30)) all_finite = false;
@@ -309,9 +279,8 @@ int main(int argc, char** argv) {
       }
 
       rows.push_back(row);
-      std::printf("%-10s %5d  %12.2f %12.2f %7.2fx %12.2e %10.2f %10.2f %10.2f %10.2f %7.2fx\n",
-                  name.c_str(), batch, legacy_ms, blocked_ms, row.speedup(), row.max_abs_diff,
-                  row.int16_ms, row.int8_ms, row.fused_ms, row.int8_fused_ms,
+      std::printf("%-10s %5d  %12.2f %10.2f %10.2f %10.2f %10.2f %7.2fx\n", name.c_str(), batch,
+                  blocked_ms, row.int16_ms, row.int8_ms, row.fused_ms, row.int8_fused_ms,
                   row.int8_fused_speedup());
     }
   }
@@ -342,10 +311,7 @@ int main(int argc, char** argv) {
       j.begin_object();
       j.kv("net", r.net);
       j.kv("batch", r.batch);
-      j.kv("legacy_ms_min", r.legacy_ms);
       j.kv("blocked_ms_min", r.blocked_ms);
-      j.kv("speedup", r.speedup());
-      j.kv("max_abs_diff", r.max_abs_diff);
       j.kv("int16_ms_min", r.int16_ms);
       j.kv("int8_ms_min", r.int8_ms);
       j.kv("int16_max_diff", r.int16_max_diff);

@@ -1,8 +1,12 @@
 #!/bin/bash
-# Metric-name lint: every metric-name string literal in src/ must follow
-# the naming scheme (docs/method.md §10) and be listed in the method.md
-# naming tables, so the docs registry can never silently drift from the
-# code. Run standalone or via scripts/run_sanitized_tests.sh.
+# Metric-name lint, both directions, so the docs registry can never
+# silently drift from the code. Run standalone or via
+# scripts/run_sanitized_tests.sh.
+#   forward: every metric-name string literal in src/ must follow the
+#            naming scheme (docs/method.md §10) and be listed in the
+#            method.md naming tables;
+#   reverse: every name in the §15 registry table must appear as a string
+#            literal in src/ (RUNTIME_COMPOSED lists the only exceptions).
 #
 # Scheme: dot-separated lowercase `<area>.<object>.<property>`, 2-4
 # segments, [a-z0-9_] per segment, first segment starting with a letter
@@ -52,4 +56,32 @@ for n in $names; do
 done
 
 echo "check_metric_names: $total metric name(s) checked, $bad_scheme scheme violation(s), $undocumented undocumented"
-[ "$bad_scheme" -eq 0 ] && [ "$undocumented" -eq 0 ]
+
+# Reverse: the rows of the table under "**Metric-name registry.**" look like
+#   | `area.*` | `a.b.c`, `a.b.d` (note) |
+# Names composed at run time have no literal; src/tensor/parallel.cpp
+# builds the per-worker pool gauges from "pool.worker" + slot + suffix.
+RUNTIME_COMPOSED='pool.worker<slot>.busy_us pool.worker<slot>.chunks'
+registry=$(
+  awk '/^\*\*Metric-name registry\.\*\*/ {on = 1} on && /^## / {exit} on' "$DOC" |
+  grep -E '^\| `[a-z]+\.\*` \|' |
+  cut -d'|' -f3 |
+  grep -oE '`[^`]+`' | tr -d '`' | sort -u
+)
+if [ -z "$registry" ]; then
+  echo "check_metric_names: found no registry rows in $DOC — table format changed?" >&2
+  exit 1
+fi
+listed=0
+stale=0
+for n in $registry; do
+  listed=$((listed + 1))
+  case " $RUNTIME_COMPOSED " in *" $n "*) continue ;; esac
+  if ! grep -rqF "\"$n\"" src; then
+    echo "STALE: '$n' is in the $DOC registry but no src/ file has it as a literal" >&2
+    stale=$((stale + 1))
+  fi
+done
+echo "check_metric_names: $listed registry name(s) checked, $stale stale"
+
+[ "$bad_scheme" -eq 0 ] && [ "$undocumented" -eq 0 ] && [ "$stale" -eq 0 ]

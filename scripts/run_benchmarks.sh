@@ -16,17 +16,12 @@
 # stage (off vs on, min-of-N) and fails the run when it exceeds 3%.
 #
 # BENCH_forward.json records min-of-N forward wall time per zoo network
-# (NiN, AlexNet, MobileNet) x batch {1, 8}, legacy scalar path vs blocked
-# GEMM path, plus the old/new max |diff| parity check — and the §17
-# graph-compiler columns: fused float (bitwise parity gate) and fused
-# int8 vs unfused int8, with per-row fusion counts and the
-# fused_int8_wins_batch1 serving claim. The manifest embeds the per-net
-# fusion counts (bench_forward --print-fusion) next to the kernel ISA.
-#
-# BENCH_cluster.json records the chaos bench on the sharded plan-serving
-# cluster: straggler p50/p99 with hedging on vs off, hedge win rate,
-# breaker time-to-open after a node kill and time-to-recover after the
-# revive, and the byte-identical-plans contract (mismatched must be 0).
+# (NiN, AlexNet, MobileNet) x batch {1, 8}: the float Network::forward,
+# unfused int16/int8 (every compile rule off), and the §17 graph-compiler
+# columns: fused float (bitwise parity gate) and fused int8 vs unfused
+# int8, with per-row fusion counts and the fused_int8_wins_batch1 serving
+# claim. The manifest embeds the per-net fusion counts (bench_forward
+# --print-fusion) next to the kernel ISA.
 #
 # BENCH_serve.json records the online inference server under load: closed-
 # loop throughput and p50/p99 latency per backend (sequential caller vs
@@ -51,7 +46,7 @@ set -eu -o pipefail
 cd "$(dirname "$0")/.."
 mkdir -p bench_logs
 
-BENCHES="bench_sweep bench_observability bench_forward bench_cluster bench_serve bench_telemetry bench_micro_kernels"
+BENCHES="bench_sweep bench_observability bench_forward bench_serve bench_telemetry bench_micro_kernels"
 
 for b in $BENCHES; do
   if [ ! -x "build/bench/$b" ]; then

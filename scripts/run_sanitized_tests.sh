@@ -11,9 +11,8 @@
 # DiagnosticSink / metrics / PlanService threading hammers in
 # tests/test_diag_threading.cpp, the GEMM pack/tile-task suite in
 # tests/test_gemm.cpp, the per-thread forward arenas in
-# tests/test_network.cpp (four threads forwarding two networks at once),
-# the cluster chaos suite in tests/test_cluster.cpp,
-# the inference-server battery in tests/test_infer.cpp (batcher thread,
+# tests/test_network.cpp (four threads interleaving network and compiled
+# forwards), the inference-server battery in tests/test_infer.cpp (batcher thread,
 # shared-mutex plan hot-swap under load, concurrent submitters, seeded
 # kDelay chaos on the forward path), the graph-compiler battery in
 # tests/test_compile*.cpp (fused gemm/qgemm epilogues cross threads, and

@@ -1,8 +1,10 @@
 #include "compile/compiled_network.hpp"
 
 #include <cassert>
+#include <span>
 #include <utility>
 
+#include "nn/forward_arena.hpp"
 #include "nn/layers.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stage_scope.hpp"
@@ -90,6 +92,33 @@ CompiledNetwork::CompiledNetwork(const Network& net, CompiledGraph graph,
   }
   output_step_ = step_of_src_[static_cast<std::size_t>(graph_.resolve(net.output_node()))];
   assert(output_step_ >= 0);
+
+  // Store epilogues, once the steps (and the buffers they point into) sit
+  // at their final addresses.
+  for (CompiledStep& st : steps_) {
+    st.fusion.relu = st.relu;
+    if (!st.norm_scale.empty()) {
+      st.fusion.scale = st.norm_scale.data();
+      st.fusion.shift = st.norm_shift.data();
+    }
+    if (!st.lowered) continue;
+    const QGrid ag = qgrid_for(st.lw.act_fmt);
+    const QGrid wg = qgrid_for(st.lw.w_fmt);
+    QLayerBinding& b = st.binding;
+    b.type = st.lw.type;
+    b.weights = st.lw.weights_ptr();
+    b.bias = st.lw.bias.empty() ? nullptr : st.lw.bias.data();
+    b.act_step = ag.step;
+    b.act_lo = ag.lo;
+    b.act_hi = ag.hi;
+    b.acc_scale = ag.step * wg.step;
+    b.in_quantized = st.in_quantized;
+    b.quant_store = st.quant_store;
+    b.store_requant = st.store_requant;
+    b.store_lo = st.store_grid.lo;
+    b.store_hi = st.store_grid.hi;
+    b.relu = st.relu;
+  }
 }
 
 int CompiledNetwork::step_of_src(int src) const {
@@ -111,91 +140,73 @@ Tensor CompiledNetwork::forward_captured(const Tensor& input,
   return run(input, step_outputs);
 }
 
+namespace {
+
+// Runs one step into `out`: conv/FC through the explicit entry point with
+// the step's store epilogue, everything else through the virtual forward.
+void run_step(const CompiledStep& st, std::span<const Tensor* const> ins, Tensor& out,
+              std::atomic<std::int64_t>* sat) {
+  const LayerKind kind = st.layer->kind();
+  if (kind != LayerKind::kConv && kind != LayerKind::kInnerProduct) {
+    st.layer->forward(ins, out);
+    return;
+  }
+  const Tensor& x = *ins[0];
+  if (st.lowered) {
+    QLayerBinding b = st.binding;
+    b.act_saturated = sat;
+    if (kind == LayerKind::kConv)
+      static_cast<const Conv2DLayer&>(*st.layer).forward_integer(b, x, out);
+    else
+      static_cast<const InnerProductLayer&>(*st.layer).forward_integer(b, x, out);
+  } else if (kind == LayerKind::kConv) {
+    static_cast<const Conv2DLayer&>(*st.layer).forward(st.fusion, x, out);
+  } else {
+    static_cast<const InnerProductLayer&>(*st.layer).forward(st.fusion, x, out);
+  }
+}
+
+}  // namespace
+
 Tensor CompiledNetwork::run(const Tensor& input, std::vector<Tensor>* cap) const {
   forwards_.fetch_add(1, std::memory_order_relaxed);
-  // Same cost currency as Network::forward / QuantizedNetwork::forward:
-  // compiled batches are forward passes charged to the caller's stage.
+  // Same cost currency as Network::forward: compiled batches are forward
+  // passes charged to the caller's stage.
   note_forwards(input.shape().n());
   if (metrics_enabled()) {
     static Counter& calls = metrics().counter("compile.forward.calls");
     calls.add(1);
   }
 
-  const int n_steps = static_cast<int>(steps_.size());
-  std::vector<Tensor> local(static_cast<std::size_t>(n_steps));
-  std::vector<const Tensor*> outs(static_cast<std::size_t>(n_steps), nullptr);
+  const auto n_steps = steps_.size();
+  ForwardArena& ar = ForwardArena::local(n_steps);
   if (cap != nullptr) {
     cap->clear();
-    cap->resize(static_cast<std::size_t>(n_steps));
+    cap->resize(n_steps);
   }
-
-  // Save/restore all thread-local gates so a compiled forward nested in
-  // other work leaves the calling thread exactly as it found it.
-  const ExecMode saved_mode = exec_mode();
-  const QLayerBinding* saved_binding = current_qlayer();
-  const FloatFusion* saved_fusion = current_float_fusion();
   std::atomic<std::int64_t> sat{0};
 
-  for (int i = 0; i < n_steps; ++i) {
+  for (std::size_t i = 0; i < n_steps; ++i) {
     const CompiledStep& st = steps_[i];
     if (st.layer->kind() == LayerKind::kInput) {
-      outs[static_cast<std::size_t>(i)] = &input;
-      if (cap != nullptr) (*cap)[static_cast<std::size_t>(i)] = input;
+      ar.outs[i] = &input;
+      if (cap != nullptr) (*cap)[i] = input;
       continue;
     }
 
-    std::vector<const Tensor*> ins;
-    ins.reserve(st.inputs.size());
+    ar.ins.clear();
     for (int in : st.inputs) {
-      const Tensor* t = outs[static_cast<std::size_t>(in)];
+      const Tensor* t = ar.outs[static_cast<std::size_t>(in)];
       assert(t != nullptr && "compiled step consumed before produced");
-      ins.push_back(t);
+      ar.ins.push_back(t);
     }
-    std::vector<Shape> in_shapes;
-    in_shapes.reserve(ins.size());
-    for (const Tensor* t : ins) in_shapes.push_back(t->shape());
-    Tensor& out = local[static_cast<std::size_t>(i)];
-    const Shape os = st.layer->output_shape(in_shapes);
-    if (out.shape() != os) out = Tensor(os);
-
-    if (st.lowered) {
-      const QGrid ag = qgrid_for(st.lw.act_fmt);
-      const QGrid wg = qgrid_for(st.lw.w_fmt);
-      QLayerBinding b;
-      b.type = st.lw.type;
-      b.weights = st.lw.weights_ptr();
-      b.bias = st.lw.bias.empty() ? nullptr : st.lw.bias.data();
-      b.act_step = ag.step;
-      b.act_lo = ag.lo;
-      b.act_hi = ag.hi;
-      b.acc_scale = ag.step * wg.step;
-      b.act_saturated = &sat;
-      b.in_quantized = st.in_quantized;
-      b.quant_store = st.quant_store;
-      b.store_requant = st.store_requant;
-      b.store_lo = st.store_grid.lo;
-      b.store_hi = st.store_grid.hi;
-      b.relu = st.relu;
-      set_exec_mode(ExecMode::kInteger);
-      set_current_qlayer(&b);
-      st.layer->forward(ins, out);
-      set_current_qlayer(saved_binding);
-      set_exec_mode(saved_mode);
-    } else if (st.relu || !st.norm_scale.empty()) {
-      FloatFusion fu;
-      fu.relu = st.relu;
-      if (!st.norm_scale.empty()) {
-        fu.scale = st.norm_scale.data();
-        fu.shift = st.norm_shift.data();
-      }
-      set_current_float_fusion(&fu);
-      st.layer->forward(ins, out);
-      set_current_float_fusion(saved_fusion);
-    } else {
-      st.layer->forward(ins, out);
-    }
-    outs[static_cast<std::size_t>(i)] = &out;
-    if (cap != nullptr) (*cap)[static_cast<std::size_t>(i)] = out;
+    ar.in_shapes.clear();
+    for (const Tensor* t : ar.ins) ar.in_shapes.push_back(t->shape());
+    Tensor& out = ar.nodes[i];
+    out.resize(st.layer->output_shape(ar.in_shapes));
+    run_step(st, ar.ins, out, &sat);
+    ar.outs[i] = &out;
+    if (cap != nullptr) (*cap)[i] = out;
   }
 
   const std::int64_t total_sat = sat.load(std::memory_order_relaxed);
@@ -206,7 +217,7 @@ Tensor CompiledNetwork::run(const Tensor& input, std::vector<Tensor>* cap) const
       c.add(total_sat);
     }
   }
-  return std::move(local[static_cast<std::size_t>(output_step_)]);
+  return *ar.outs[static_cast<std::size_t>(output_step_)];
 }
 
 }  // namespace mupod

@@ -1,24 +1,36 @@
-// CompiledNetwork: the executable artifact emitted by GraphCompiler.
+// CompiledNetwork: the executable artifact emitted by GraphCompiler, and
+// the one executor of a precision plan.
 //
 // A program is a topologically ordered list of steps, one per surviving
 // source node. Each step borrows its Layer from the source network and
-// carries the fusion state the rewriter attached:
+// carries the fusion state the rewriter attached. Conv/FC steps run
+// through the layers' explicit entry points with a store epilogue built
+// once by the constructor:
 //
-//   * float steps with a fused epilogue bind a FloatFusion (folded norm
-//     affine and/or ReLU) around the layer's forward — the layer applies
-//     it inside its store loops, bitwise identical to the separate
-//     layers;
+//   * float steps pass a FloatFusion (folded norm affine and/or ReLU) to
+//     the layer's float forward — the layer applies it inside its store
+//     loops, bitwise identical to the separate layers;
 //   * integer-lowered steps own their quantized operands (norm-folded
-//     where fold-norm fired) and bind an extended QLayerBinding: fused
-//     ReLU, carrier input (in_quantized skips quantize-on-load), and
-//     cross-layer requantized store (quant_store writes integers on the
-//     consumer's grid). Interior tensors of a fused region hold carrier
-//     integers bit-cast inside the ordinary float Tensor buffers; their
-//     logical (float) shapes are preserved so downstream output_shape
-//     computations are unchanged.
+//     where fold-norm fired) and pass a QLayerBinding to
+//     forward_integer: fused ReLU, carrier input (in_quantized skips
+//     quantize-on-load), and cross-layer requantized store (quant_store
+//     writes integers on the consumer's grid). Interior tensors of a
+//     fused region hold carrier integers bit-cast inside the ordinary
+//     float Tensor buffers; their logical (float) shapes are preserved so
+//     downstream output_shape computations are unchanged.
 //
-// Determinism inherits qexec's contract: forward() is bitwise independent
-// of the worker count, and integer steps are byte-identical across ISAs.
+// Every other step runs the layer's virtual forward. Step outputs live in
+// the calling thread's ForwardArena (nn/forward_arena.hpp), so a steady
+// stream of forwards at one batch size allocates only the returned copy.
+//
+// Compiled with every CompileOptions rule off, the program is the
+// unfused integer reference: one step per node, quantize-on-load and
+// dequantize-on-store at every lowered layer.
+//
+// Determinism: forward() is bitwise independent of the worker count
+// (quantize-on-load chunks write disjoint ranges, the saturation total is
+// an order-free sum, and qgemm is bit-deterministic by contract), and
+// integer steps are byte-identical across ISAs.
 #pragma once
 
 #include <atomic>
@@ -50,6 +62,13 @@ struct CompiledStep {
   bool quant_store = false;
   QGrid store_grid;           // the consumer's activation grid
   QRequant store_requant;     // acc_scale / consumer act_step, q31
+
+  // The store epilogue the step passes to its conv/FC layer, built once
+  // from the fields above (the pointers reach into norm_scale/norm_shift
+  // and lw). `binding` is used when lowered; its act_saturated sink is
+  // set per forward.
+  FloatFusion fusion;
+  QLayerBinding binding;
 };
 
 class CompiledNetwork {

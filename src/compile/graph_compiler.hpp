@@ -48,13 +48,23 @@ namespace mupod {
 
 struct CompileOptions {
   // Uniform weight bitwidth for integer lowering, matching
-  // QExecOptions/PlanServiceConfig::weight_bits.
+  // PlanServiceConfig::weight_bits.
   int weight_bits = 16;
   // Per-rule gates (all on by default; tests use them to isolate rules).
   bool drop_noops = true;
   bool fold_norm = true;
   bool fuse_relu = true;
   bool elide_requant = true;
+
+  // Every rule off: one step per source node, quantize-on-load and
+  // dequantize-on-store at every lowered layer. This is the unfused
+  // integer reference (plan validation, parity tests).
+  static CompileOptions unfused(int weight_bits) {
+    CompileOptions o;
+    o.weight_bits = weight_bits;
+    o.drop_noops = o.fold_norm = o.fuse_relu = o.elide_requant = false;
+    return o;
+  }
 };
 
 // The permutable structural rules (see rewrite_with_order).
@@ -140,9 +150,8 @@ class GraphCompiler {
 
   // Rewrite + lower into an executable program. The float overload emits
   // no integer steps; the plan-aware overload lowers every formatted
-  // weight-bearing node exactly as QuantizedNetwork does (byte-identical
-  // operands via lower_layer_operands), on norm-folded weights where
-  // fold-norm fired. The source network is borrowed and never mutated —
+  // weight-bearing node through lower_layer_operands, on norm-folded
+  // weights where fold-norm fired. The source network is borrowed and never mutated —
   // it must outlive the CompiledNetwork.
   CompiledNetwork compile(const Network& net) const;
   CompiledNetwork compile(const Network& net, const std::vector<int>& analyzed,

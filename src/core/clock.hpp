@@ -1,13 +1,13 @@
 // One steady-clock timeline for the whole process.
 //
-// Every subsystem that reasons about deadlines — the cluster's circuit
-// breakers and hedged dispatches (src/cluster), the inference server's
-// batcher and per-request deadlines (src/infer) — needs timestamps that
-// are (a) monotonic and (b) directly comparable across subsystems, so a
-// deadline computed by one layer can be waited on by another. mono_origin
-// pins the origin at the first call; mono_now_us is microseconds since
-// then. The decision logic built on these timestamps (CircuitBreaker,
-// BatchPolicy) takes explicit now_us parameters and never reads the clock
+// Every subsystem that reasons about deadlines — the inference server's
+// batcher and per-request deadlines (src/infer), the telemetry exporter's
+// flush period (src/obs) — needs timestamps that are (a) monotonic and
+// (b) directly comparable across subsystems, so a deadline computed by
+// one layer can be waited on by another. mono_origin pins the origin at
+// the first call; mono_now_us is microseconds since then. The decision
+// logic built on these timestamps (BatchPolicy, the exporter's due())
+// takes explicit now_us parameters and never reads the clock
 // itself, so it stays fake-clock-testable; only the threads driving it
 // call mono_now_us.
 #pragma once

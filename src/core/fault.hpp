@@ -1,12 +1,12 @@
 // Reusable fault-injection seam.
 //
 // Grown out of tests/fault_injection.hpp (PR 1), where it corrupted layer
-// activations to prove the pipeline degrades gracefully. The cluster layer
-// (src/cluster) needs the same machinery one level up — nodes that stall,
-// die, or serve bit-flipped cache entries — so the schedule/kind vocabulary
-// and the delegating FaultyLayer live here now, plus a FaultInjector
-// registry of *named fault points* that production code can consult
-// cheaply and tests/benches can arm deterministically.
+// activations to prove the pipeline degrades gracefully. The inference
+// server (src/infer) needs the same machinery one level up — batches that
+// stall, fail, or return poisoned outputs — so the schedule/kind
+// vocabulary and the delegating FaultyLayer live here now, plus a
+// FaultInjector registry of *named fault points* that production code can
+// consult cheaply and tests/benches can arm deterministically.
 //
 // Two scheduling modes, both deterministic:
 //   * counter windows (first_call / period / last_call): the Nth calls of a
@@ -21,8 +21,8 @@
 // payload) and node faults (kDelay — injected latency; kDrop — the
 // operation never completes). FaultyLayer applies data faults to its
 // output tensor and honors kDelay as a stall; kDrop is meaningless for a
-// layer (a forward cannot "not return") and passes through. WorkerNode
-// (src/cluster) honors all five.
+// layer (a forward cannot "not return") and passes through. The
+// inference server's "infer.forward" point honors all five.
 #pragma once
 
 #include <algorithm>

@@ -1,6 +1,5 @@
 // BatchPolicy: the dynamic batcher's flush decision as a pure,
-// explicit-time function — the same discipline as the cluster's
-// CircuitBreaker (src/cluster/breaker.hpp). Time is a microsecond
+// explicit-time function (core/clock.hpp). Time is a microsecond
 // timestamp supplied by the caller, never read from a real clock here, so
 // tests walk every size/timeout/drain decision with a fake clock and the
 // batcher thread drives the identical logic with mono_now_us.

@@ -105,7 +105,7 @@ void InferenceServer::register_model(const std::string& name, const Network& net
 
 std::uint64_t InferenceServer::install_plan(const std::string& name,
                                             const std::vector<FixedPointFormat>& formats,
-                                            const QExecOptions& opts) {
+                                            int weight_bits) {
   // Lower OUTSIDE the write lock — quantizing every layer's weights is the
   // expensive part, and serving must not stall behind it.
   const Network* net = nullptr;
@@ -117,15 +117,13 @@ std::uint64_t InferenceServer::install_plan(const std::string& name,
     net = it->second.net;
     analyzed = it->second.analyzed;
   }
-  auto qnet = std::make_shared<const QuantizedNetwork>(*net, analyzed, formats, opts);
   CompileOptions copts;
-  copts.weight_bits = opts.weight_bits;
+  copts.weight_bits = weight_bits;
   auto cnet = std::make_shared<const CompiledNetwork>(
       GraphCompiler(copts).compile(*net, analyzed, formats));
 
   std::unique_lock lk(models_mu_);
   ModelEntry& e = models_.at(name);
-  e.qnet = std::move(qnet);
   e.compiled_int = std::move(cnet);
   e.plan_version += 1;
   plan_swaps_.fetch_add(1, std::memory_order_relaxed);
@@ -136,9 +134,7 @@ std::uint64_t InferenceServer::install_plan(const std::string& name,
 std::uint64_t InferenceServer::install_plan(const std::string& name, PlanService& service,
                                             const PlanKey& key, const PlanQuery& query) {
   const PlanResult plan = service.plan(key, query);
-  QExecOptions opts;
-  opts.weight_bits = service.config().weight_bits;
-  return install_plan(name, plan.alloc.formats, opts);
+  return install_plan(name, plan.alloc.formats, service.config().weight_bits);
 }
 
 std::uint64_t InferenceServer::plan_version(const std::string& name) const {

@@ -1,10 +1,10 @@
-// InferenceServer: the online request-serving layer over QuantizedNetwork
-// and Network.
+// InferenceServer: the online request-serving layer over compiled
+// networks (compile/compiled_network.hpp).
 //
 // Everything below this layer is batch-shaped: the pipeline computes
-// plans, PlanService caches them, the cluster shards them — but nothing
-// served an actual inference request. This server closes that loop for
-// single-image classification:
+// plans and PlanService caches them — but nothing served an actual
+// inference request. This server closes that loop for single-image
+// classification:
 //
 //  * submit(image, opts) returns a std::future<InferenceResult>
 //    immediately; a dedicated condition-variable batcher thread coalesces
@@ -34,9 +34,9 @@
 //    COMPILED artifacts (compile/graph_compiler.hpp): registration
 //    compiles the float network (fused ReLU/norm epilogues, bitwise
 //    identical to Network::forward), and install_plan lowers a precision
-//    plan (directly or via PlanService) into a QuantizedNetwork plus a
-//    fused CompiledNetwork — requantize elision keeps activations integer
-//    across fused regions — and swaps both in under the write lock.
+//    plan (directly or via PlanService) into one fused CompiledNetwork —
+//    requantize elision keeps activations integer across fused regions —
+//    and swaps it in under the write lock.
 //    Executing batches hold shared_ptr snapshots, so a hot-swap never
 //    stalls in-flight work and an in-flight batch never sees a
 //    half-installed plan; each result records the plan_version it was
@@ -51,8 +51,8 @@
 //
 //  * FAULTS: the batcher consults FaultInjector point "infer.forward"
 //    once per batch (kDelay stalls the forward, kDrop fails the batch
-//    with an explicit diagnosis, data kinds poison the output tensor) —
-//    the same seam the cluster chaos tests use (src/core/fault.hpp).
+//    with an explicit diagnosis, data kinds poison the output tensor;
+//    src/core/fault.hpp).
 #pragma once
 
 #include <atomic>
@@ -72,7 +72,6 @@
 #include "core/fault.hpp"
 #include "infer/batch_policy.hpp"
 #include "obs/trace.hpp"
-#include "quant/qexec.hpp"
 #include "serve/plan_service.hpp"
 #include "tensor/tensor.hpp"
 
@@ -95,7 +94,7 @@ const char* infer_status_name(InferStatus s);
 // Which execution path a request rides.
 enum class InferBackend {
   kFloat,    // registered Network, fp32 GEMM path
-  kInteger,  // installed QuantizedNetwork (requires install_plan first)
+  kInteger,  // installed integer plan (requires install_plan first)
 };
 
 const char* infer_backend_name(InferBackend b);
@@ -188,12 +187,13 @@ class InferenceServer {
   // becomes the default model. Must not collide with an existing name.
   void register_model(const std::string& name, const Network& net, std::vector<int> analyzed);
 
-  // Hot-swaps the integer path: lowers `formats` (paired with the model's
-  // analyzed nodes) into a fresh QuantizedNetwork and swaps it in under
-  // the registry write lock. In-flight batches keep the snapshot they
-  // picked up. Returns the new plan version (1, 2, ...).
+  // Hot-swaps the integer path: compiles `formats` (paired with the
+  // model's analyzed nodes, weights at `weight_bits`) into a fresh fused
+  // CompiledNetwork and swaps it in under the registry write lock.
+  // In-flight batches keep the snapshot they picked up. Returns the new
+  // plan version (1, 2, ...).
   std::uint64_t install_plan(const std::string& name, const std::vector<FixedPointFormat>& formats,
-                             const QExecOptions& opts = {});
+                             int weight_bits = 16);
   // Convenience: answer `query` through the PlanService (memoized as
   // usual) and install the resulting plan. The service must have the same
   // network registered under `key`.
@@ -240,9 +240,8 @@ class InferenceServer {
     // Fused float artifact (graph compiler), built at registration — the
     // float path serves this, bitwise identical to net->forward.
     std::shared_ptr<const CompiledNetwork> compiled_float;
-    std::shared_ptr<const QuantizedNetwork> qnet;  // null until install_plan
-    // Fused integer artifact for the installed plan; recompiled by every
-    // install_plan (hot-swap) alongside qnet.
+    // Fused integer artifact for the installed plan; null until
+    // install_plan, recompiled by every install_plan (hot-swap).
     std::shared_ptr<const CompiledNetwork> compiled_int;
     std::uint64_t plan_version = 0;
   };

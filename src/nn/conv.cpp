@@ -2,7 +2,6 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
-#include <vector>
 
 #include "nn/layers.hpp"
 #include "tensor/gemm.hpp"
@@ -206,13 +205,10 @@ void Conv2DLayer::forward_integer(const QLayerBinding& q, const Tensor& x, Tenso
 }
 
 void Conv2DLayer::forward(std::span<const Tensor* const> in, Tensor& out) const {
-  const Tensor& x = *in[0];
-  if (exec_mode() == ExecMode::kInteger) {
-    if (const QLayerBinding* q = current_qlayer(); q != nullptr && q->weights != nullptr) {
-      forward_integer(*q, x, out);
-      return;
-    }
-  }
+  forward(FloatFusion{}, *in[0], out);
+}
+
+void Conv2DLayer::forward(const FloatFusion& fu, const Tensor& x, Tensor& out) const {
   const int N = x.shape().n(), C = x.shape().c(), H = x.shape().h(), W = x.shape().w();
   const int OC = out.shape().c(), OH = out.shape().h(), OW = out.shape().w();
   const int KH = cfg_.kernel_h, KW = cfg_.kernel_w;
@@ -221,13 +217,11 @@ void Conv2DLayer::forward(std::span<const Tensor* const> in, Tensor& out) const 
   const int icg = C / groups;   // input channels per group
   const int ocg = OC / groups;  // output channels per group
 
-  // Fused float epilogue (folded norm affine and/or ReLU), bound by the
-  // compiled executor on the calling thread. Read once here so the pool
-  // workers below see it via capture, not via their own thread-locals.
-  const FloatFusion* fu = current_float_fusion();
-  const bool fu_relu = fu != nullptr && fu->relu;
-  const float* fu_scale = fu != nullptr ? fu->scale : nullptr;
-  const float* fu_shift = fu != nullptr ? fu->shift : nullptr;
+  // Fused float epilogue (folded norm affine and/or ReLU); empty unless
+  // the compiled executor passes one.
+  const bool fu_relu = fu.relu;
+  const float* fu_scale = fu.scale;
+  const float* fu_shift = fu.shift;
   // Per-output-plane epilogue: the exact BatchNormScaleLayer expression
   // followed by the exact ReLULayer expression, so fused == separate
   // layers bitwise. `oc` is the global output channel.
@@ -251,7 +245,6 @@ void Conv2DLayer::forward(std::span<const Tensor* const> in, Tensor& out) const 
 
   const std::int64_t k_dim = static_cast<std::int64_t>(icg) * KH * KW;
   const std::int64_t spatial = static_cast<std::int64_t>(OH) * OW;
-  const bool legacy = gemm_mode() == GemmMode::kLegacy;
 
   // A 1x1/stride-1/pad-0 conv is already a GEMM over the input planes —
   // no patch expansion needed (OH*OW == H*W).
@@ -273,9 +266,7 @@ void Conv2DLayer::forward(std::span<const Tensor* const> in, Tensor& out) const 
   //     im2col inflates reads 9-25x with only one output row to reuse the
   //     panel — the direct loop keeps it.
   bool use_gemm;
-  if (legacy) {
-    use_gemm = ocg >= 4 && k_dim >= 9 && spatial >= 16;
-  } else if (is_pointwise) {
+  if (is_pointwise) {
     use_gemm = ocg >= 2 || k_dim >= 2 || spatial >= 512;
   } else {
     const std::int64_t karea = static_cast<std::int64_t>(KH) * KW;
@@ -283,7 +274,7 @@ void Conv2DLayer::forward(std::span<const Tensor* const> in, Tensor& out) const 
                (ocg == 2 && karea <= 9 && spatial >= 1024);
   }
 
-  if (use_gemm && !legacy) {
+  if (use_gemm) {
     // im2col (skipped for pointwise) followed by one blocked GEMM per
     // (image, group): Y[ocg x OH*OW] = W[ocg x k_dim] · col[k_dim x OH*OW].
     // With enough (image, group) jobs to fill the pool the outer loop
@@ -329,37 +320,6 @@ void Conv2DLayer::forward(std::span<const Tensor* const> in, Tensor& out) const 
       parallel_for_chunked(0, jobs, body);
     else
       body(0, jobs);
-    return;
-  }
-
-  if (use_gemm) {
-    // Legacy blocked-less path (kept for bench_forward's old-vs-new
-    // trajectory): im2col + rank-1 axpy sweep over the output plane.
-    parallel_for_chunked(0, static_cast<std::int64_t>(N) * groups,
-                         [&](std::int64_t b, std::int64_t e) {
-      std::vector<float> col(static_cast<std::size_t>(k_dim * spatial));
-      for (std::int64_t idx = b; idx < e; ++idx) {
-        const int n = static_cast<int>(idx / groups);
-        const int g = static_cast<int>(idx % groups);
-        const float* ximg = xdata + n * x_img + static_cast<std::int64_t>(g) * icg * H * W;
-        im2col_rows(ximg, H, W, KH, KW, stride, pad, OH, OW, col.data(), 0, k_dim);
-
-        for (int oc_local = 0; oc_local < ocg; ++oc_local) {
-          const int oc = g * ocg + oc_local;
-          const float* wrow = wdata + static_cast<std::int64_t>(oc) * k_dim;
-          float* yplane = ydata + n * y_img + static_cast<std::int64_t>(oc) * spatial;
-          const float bias = bdata != nullptr ? bdata[oc] : 0.0f;
-          std::fill(yplane, yplane + spatial, bias);
-          for (std::int64_t k = 0; k < k_dim; ++k) {
-            const float a = wrow[k];
-            if (a == 0.0f) continue;
-            const float* crow = col.data() + k * spatial;
-            for (std::int64_t j = 0; j < spatial; ++j) yplane[j] += a * crow[j];
-          }
-          fuse_plane(yplane, spatial, oc);
-        }
-      }
-    });
     return;
   }
 

@@ -9,11 +9,12 @@
 
 namespace mupod {
 
-// Integer operands bound around a layer's forward by the quantized
-// executor (tensor/qgemm.hpp). The dot-product layers dispatch to their
-// integer path when exec_mode() == ExecMode::kInteger and a binding is
-// set on the calling thread.
+// Store epilogues of the dot-product layers (tensor/qgemm.hpp). The
+// compiled executor (compile/compiled_network.hpp) passes them to the
+// explicit entry points below; the virtual forward runs the float path
+// with no fusion.
 struct QLayerBinding;
+struct FloatFusion;
 
 // ---------------------------------------------------------------------------
 // Input placeholder. Holds the per-image (C, H, W) shape.
@@ -62,9 +63,13 @@ class Conv2DLayer final : public Layer {
 
   const Config& config() const { return cfg_; }
 
- private:
+  // Float forward with the fused store epilogue `fu` (folded norm affine,
+  // then ReLU), bitwise identical to running those layers separately.
+  void forward(const FloatFusion& fu, const Tensor& x, Tensor& out) const;
+  // Integer forward on the lowered operands and store epilogue in `q`.
   void forward_integer(const QLayerBinding& q, const Tensor& x, Tensor& out) const;
 
+ private:
   Config cfg_;
   Tensor weights_;  // (out_c, in_c/groups, kh, kw)
   Tensor bias_;     // (out_c) stored as rank-1
@@ -90,9 +95,13 @@ class InnerProductLayer final : public Layer {
   int in_features() const { return in_features_; }
   int out_features() const { return out_features_; }
 
- private:
+  // Float forward with a fused ReLU store (`fu.relu`; a norm never
+  // follows an inner product).
+  void forward(const FloatFusion& fu, const Tensor& x, Tensor& out) const;
+  // Integer forward on the lowered operands and store epilogue in `q`.
   void forward_integer(const QLayerBinding& q, const Tensor& x, Tensor& out) const;
 
+ private:
   int in_features_, out_features_;
   bool has_bias_;
   Tensor weights_;  // (out, in)

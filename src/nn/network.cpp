@@ -3,6 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "nn/forward_arena.hpp"
 #include "nn/layers.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stage_scope.hpp"
@@ -116,30 +117,9 @@ int Network::node_id(const std::string& name) const {
 
 namespace {
 
-// Per-thread scratch of the forwards, in the GemmScratch pattern: buffers
-// only grow, so a steady stream of analysis forwards at one batch size
-// allocates nothing and zero-fills nothing. `nodes` holds the node outputs
-// of forward / forward_from, indexed by node id. Every call writes each
-// slot before it reads it and hands out only copies, so networks
-// interleaved on one thread share the slots safely; growth from one
-// network to the next costs at most what a fresh buffer did. Like
-// GemmScratch, it assumes no forward runs inside another on one thread.
-struct ForwardArena {
-  std::vector<Tensor> nodes;
-  Tensor perturbed;                  // injected copy of a node's data input
-  std::vector<const Tensor*> outs;   // where each node's output is read from
-  std::vector<const Tensor*> ins;    // the current node's inputs
-  std::vector<Shape> in_shapes;
-  std::vector<char> recompute;       // the downstream set of forward_from
-};
-
 // The calling thread's arena, set up for one call on `net`.
 ForwardArena& forward_arena(const Network& net) {
-  thread_local ForwardArena a;
-  const auto n = static_cast<std::size_t>(net.num_nodes());
-  if (a.nodes.size() < n) a.nodes.resize(n);
-  a.outs.assign(n, nullptr);
-  return a;
+  return ForwardArena::local(static_cast<std::size_t>(net.num_nodes()));
 }
 
 // Marks `from` and its transitive consumers in ar.recompute, and points

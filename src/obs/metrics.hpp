@@ -26,14 +26,7 @@
 // (`_us`, `_ms`) when not dimensionless. The kernel layer reports
 // `gemm.calls` / `gemm.flops` / `gemm.tiles` (counters) and
 // `tensor.scratch.bytes` (gauge: resident per-thread packing/im2col
-// arenas) — see docs/method.md §11. The sharded serving layer reports
-// the `cluster.*` family (docs/method.md §13): query outcomes
-// (`cluster.queries.ok/failed`, histogram `cluster.query.ms`), routing
-// events (`cluster.retries`, `cluster.hedges`, `cluster.hedge_wins`,
-// `cluster.timeouts`), breaker transitions (`cluster.breaker.opened/
-// reopened/half_open/closed`), and per-node cache/replication integrity
-// (`cluster.cache.*`, `cluster.poison.*`, `cluster.replicate.*`).
-// The online inference server reports the `infer.*` family
+// arenas) — see docs/method.md §11. The online inference server reports the `infer.*` family
 // (docs/method.md §14), mirrored field-for-field by ServerStats
 // (src/infer/server.hpp; asserted by the symmetry test in
 // tests/test_infer.cpp): request

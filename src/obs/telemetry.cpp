@@ -62,9 +62,6 @@ void write_record_json(JsonWriter& j, const RequestRecord& r) {
   j.kv("exec_us", r.exec_us);
   j.kv("total_us", r.total_us);
   j.kv("batch_id", r.batch_id);
-  j.kv("node_id", r.node_id);
-  j.kv("retries", r.retries);
-  j.kv("hedges", r.hedges);
   j.kv("t_us", r.t_us);
   j.end_object();
 }

@@ -3,7 +3,7 @@
 // The PR-3 observability layer answers "how much work happened"
 // (MetricsRegistry) and "where did wall-clock go" (Tracer); this layer
 // answers the two operational questions left open once requests cross an
-// async batcher, consistent-hash routing, retries, and hedges:
+// async batcher:
 //
 //  * "what was the system doing over TIME?" — TelemetryExporter, a
 //    background thread that snapshots the registry on a fixed period and
@@ -13,19 +13,19 @@
 //    MetricsSnapshot to the count (asserted in tests/test_telemetry.cpp),
 //    so a dashboard integrating the series never drifts from the source.
 //    The flush decision is explicit-clock (due/flush take now_us), the
-//    same fake-clock-testable split as BatchPolicy and CircuitBreaker;
+//    same fake-clock-testable split as BatchPolicy;
 //    only the driver thread reads the process clock. stop() (and the
 //    destructor) flushes a final snapshot so the series always ends at
 //    the truth.
 //
 //  * "what happened to THIS request?" — FlightRecorder, a bounded
 //    lock-sharded ring of per-request terminal records (trace id, status,
-//    queue/exec/total µs, batch id, node id, retry/hedge counts). The
-//    serving layers (src/infer, src/cluster) deposit one record per
-//    resolved request; recording is O(1) under one shard mutex keyed by
-//    obs_thread_slot(), so concurrent resolvers never contend. Trigger
-//    conditions — a deadline-exceeded terminal, a circuit breaker
-//    opening, or latency above a configured threshold — dump a
+//    queue/exec/total µs, batch id). The serving layer (src/infer)
+//    deposits one record per resolved request; recording is O(1) under
+//    one shard mutex keyed by obs_thread_slot(), so concurrent resolvers
+//    never contend. Trigger conditions — a deadline-exceeded terminal,
+//    an external incident() call, or latency above a configured
+//    threshold — dump a
 //    self-contained JSON incident bundle: the recent request records,
 //    the tracer spans correlated to their trace ids, and the metric
 //    deltas since the previous incident. Incident count is bounded
@@ -122,7 +122,7 @@ class TelemetryExporter {
 struct RequestRecord {
   std::uint64_t trace_id = 0;  // 0 when tracing was off
   std::uint64_t request_id = 0;
-  const char* source = "";  // "infer" | "cluster" (string literal)
+  const char* source = "";  // serving layer, e.g. "infer" (string literal)
   const char* status = "";  // terminal status name (string literal)
   bool ok = false;
   bool deadline_hit = false;  // terminal was a deadline violation
@@ -130,9 +130,6 @@ struct RequestRecord {
   std::int64_t exec_us = 0;
   std::int64_t total_us = 0;
   std::int64_t batch_id = -1;  // infer: coalesced batch sequence number
-  int node_id = -1;            // cluster: responding node
-  int retries = 0;
-  int hedges = 0;
   std::int64_t t_us = 0;  // completion time (mono_now_us)
 };
 
@@ -176,7 +173,7 @@ class FlightRecorder {
   // record-shaped triggers (deadline_hit, slow_request).
   void record(const RequestRecord& r);
 
-  // External trigger seam (e.g. a circuit breaker opening): dump an
+  // External trigger seam (e.g. an operator-detected fault): dump an
   // incident bundle attributed to `trigger` with a human diagnosis.
   void incident(const std::string& trigger, const std::string& detail);
 

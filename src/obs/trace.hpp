@@ -19,11 +19,11 @@
 // process runs.
 //
 // REQUEST CORRELATION. A serving request crosses threads — submitter,
-// batcher, worker-node executors — and uncorrelated local spans cannot
-// reconstruct its path. TraceContext is the correlation unit:
+// batcher — and uncorrelated local spans cannot reconstruct its path.
+// TraceContext is the correlation unit:
 //
-//   trace_id   one per request/query, minted at the entry point
-//              (InferenceServer::submit, ClusterController::plan)
+//   trace_id   one per request, minted at the entry point
+//              (InferenceServer::submit)
 //   span_id    one per span within the trace
 //   parent_id  span_id of the enclosing span (0 at the root)
 //

@@ -1,11 +1,7 @@
 #include "quant/qexec.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-
-#include "obs/metrics.hpp"
-#include "obs/stage_scope.hpp"
 
 namespace mupod {
 
@@ -75,121 +71,6 @@ bool lower_layer_operands(int node, FixedPointFormat act_fmt, int weight_bits,
 
   *out = std::move(L);
   return true;
-}
-
-QuantizedNetwork::QuantizedNetwork(const Network& net, const std::vector<int>& analyzed,
-                                   const std::vector<FixedPointFormat>& formats,
-                                   const QExecOptions& opts)
-    : net_(&net), opts_(opts) {
-  assert(net.finalized());
-  assert(analyzed.size() == formats.size());
-  lowered_index_.assign(static_cast<std::size_t>(net.num_nodes()), -1);
-
-  for (std::size_t i = 0; i < analyzed.size(); ++i) {
-    const int node = analyzed[i];
-    const Layer& layer = net.layer(node);
-    QLayerLowering L;
-    if (!lower_layer_operands(node, formats[i], opts_.weight_bits, layer.weights(), layer.bias(),
-                              &L))
-      continue;
-    lowered_index_[static_cast<std::size_t>(node)] = static_cast<int>(lowered_.size());
-    lowered_.push_back(std::move(L));
-  }
-}
-
-const QLayerLowering* QuantizedNetwork::lowering_for_node(int node) const {
-  if (node < 0 || node >= static_cast<int>(lowered_index_.size())) return nullptr;
-  const int li = lowered_index_[static_cast<std::size_t>(node)];
-  return li >= 0 ? &lowered_[static_cast<std::size_t>(li)] : nullptr;
-}
-
-std::int64_t QuantizedNetwork::weight_saturated() const {
-  std::int64_t total = 0;
-  for (const QLayerLowering& L : lowered_) total += L.weight_saturated;
-  return total;
-}
-
-Tensor QuantizedNetwork::forward(const Tensor& input) const {
-  const Network& net = *net_;
-  assert(net.finalized());
-  forwards_.fetch_add(1, std::memory_order_relaxed);
-  // Charge the batch to the calling thread's stage, exactly as
-  // Network::forward does — integer-executed images are forward passes in
-  // the same cost currency (the inference server runs these under
-  // ForwardStage::kServe, validate_plan under its serve span).
-  note_forwards(input.shape().n());
-  if (metrics_enabled()) {
-    static Counter& calls = metrics().counter("qexec.forward.calls");
-    calls.add(1);
-  }
-
-  const int n_nodes = net.num_nodes();
-  std::vector<Tensor> local(static_cast<std::size_t>(n_nodes));
-  std::vector<const Tensor*> outs(static_cast<std::size_t>(n_nodes), nullptr);
-
-  // Save/restore the thread-local gate so a quantized forward nested
-  // inside other work (or an exception-free early return) leaves the
-  // calling thread exactly as it found it.
-  const ExecMode saved_mode = exec_mode();
-  const QLayerBinding* saved_binding = current_qlayer();
-  std::atomic<std::int64_t> sat{0};
-
-  for (int id = 0; id < n_nodes; ++id) {
-    const Network::Node& n = net.node(id);
-    if (n.layer->kind() == LayerKind::kInput) {
-      outs[static_cast<std::size_t>(id)] = &input;
-      continue;
-    }
-
-    std::vector<const Tensor*> ins;
-    ins.reserve(n.inputs.size());
-    for (int in : n.inputs) {
-      const Tensor* t = outs[static_cast<std::size_t>(in)];
-      assert(t != nullptr && "QuantizedNetwork: node consumed before produced");
-      ins.push_back(t);
-    }
-
-    std::vector<Shape> in_shapes;
-    in_shapes.reserve(ins.size());
-    for (const Tensor* t : ins) in_shapes.push_back(t->shape());
-    Tensor& out = local[static_cast<std::size_t>(id)];
-    const Shape os = n.layer->output_shape(in_shapes);
-    if (out.shape() != os) out = Tensor(os);
-
-    const int li = lowered_index_[static_cast<std::size_t>(id)];
-    if (li >= 0) {
-      const QLayerLowering& L = lowered_[static_cast<std::size_t>(li)];
-      const QGrid ag = qgrid_for(L.act_fmt);
-      const QGrid wg = qgrid_for(L.w_fmt);
-      QLayerBinding b;
-      b.type = L.type;
-      b.weights = L.weights_ptr();
-      b.bias = L.bias.empty() ? nullptr : L.bias.data();
-      b.act_step = ag.step;
-      b.act_lo = ag.lo;
-      b.act_hi = ag.hi;
-      b.acc_scale = ag.step * wg.step;
-      b.act_saturated = &sat;
-      set_exec_mode(ExecMode::kInteger);
-      set_current_qlayer(&b);
-      n.layer->forward(ins, out);
-      set_current_qlayer(saved_binding);
-      set_exec_mode(saved_mode);
-    } else {
-      n.layer->forward(ins, out);
-    }
-    outs[static_cast<std::size_t>(id)] = &out;
-  }
-
-  const std::int64_t total_sat = sat.load(std::memory_order_relaxed);
-  if (total_sat != 0) {
-    act_saturated_.fetch_add(total_sat, std::memory_order_relaxed);
-    if (metrics_enabled()) {
-      static Counter& c = metrics().counter("qexec.act.saturated");
-      c.add(total_sat);
-    }
-  }
-  return std::move(local[static_cast<std::size_t>(net.output_node())]);
 }
 
 }  // namespace mupod

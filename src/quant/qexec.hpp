@@ -1,11 +1,10 @@
-// Quantized execution: lowers a Network + per-layer fixed-point plan into
-// integer tensors and runs the forward pass through the integer GEMM
-// backend (tensor/qgemm.hpp).
+// Integer lowering of one layer: the operand math the graph compiler
+// (compile/) applies to every plan-covered weight-bearing layer.
 //
 // The analysis pipeline only EMULATES fixed-point formats: the kQuantize
 // injection rounds a layer's input onto the I.F grid and then keeps
-// computing in fp32. QuantizedNetwork closes the gap to a real edge
-// deployment: for every analyzable layer covered by the plan it
+// computing in fp32. Lowering closes the gap to a real edge deployment:
+// for a layer covered by the plan it
 //
 //   * quantizes the weights offline onto a W.I.F grid derived exactly as
 //     Network::quantize_weights_uniform does (I from max|w|, F =
@@ -13,23 +12,13 @@
 //     both operand grids (int8 / int16 / int32);
 //   * converts the bias to accumulator scale (bias / (step_a * step_w),
 //     rounded once, held in int64);
-//   * at run time quantizes the layer's input activations onto the PLAN's
-//     I.F format (saturating, counted), runs the dot products in integer
-//     arithmetic, and dequantizes on store.
 //
-// Tensors BETWEEN layers stay float (the float-carrier convention): each
-// layer boundary is a requantization point, so the integer path realizes
-// precisely the per-layer formats the allocator chose, and layers the
-// plan does not cover (pool, LRN, softmax, eltwise...) run their normal
-// float implementations unchanged.
-//
-// Determinism: the only nondeterminism candidates are the parallel
-// quantize-on-load (chunks write disjoint ranges; the saturation total is
-// an order-free sum) and qgemm itself (bit-deterministic by contract), so
-// forward() is bitwise independent of the worker count.
+// and the compiled program then quantizes the layer's input activations
+// onto the PLAN's I.F format at run time (saturating, counted), runs the
+// dot products in integer arithmetic, and dequantizes (or, inside a
+// fused region, requantizes) on store.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -38,12 +27,6 @@
 #include "tensor/qgemm.hpp"
 
 namespace mupod {
-
-struct QExecOptions {
-  // Uniform weight bitwidth, matching PlanServiceConfig::weight_bits (the
-  // cost models already assume it; Sec. V-E searches it).
-  int weight_bits = 16;
-};
 
 // Integer grid of a fixed-point format: values q with q * step ==
 // representable value, q in [-2^(B-1), 2^(B-1)-1]. Bit-compatible with
@@ -77,51 +60,12 @@ struct QLayerLowering {
 };
 
 // Lowers one layer's operands onto the plan's `act_fmt` x a weight grid
-// derived from max |w| at `weight_bits` total bits — the exact math the
-// QuantizedNetwork constructor applies per analyzed node, exposed so the
-// graph compiler (src/compile/) lowers fused regions with byte-identical
-// operands. `w`/`b` are normally the layer's own tensors; the compiler
-// passes norm-folded copies instead (b may be null for a bias-free
-// layer). Returns false — leaving *out* untouched — when `w` is null or
-// empty (the layer stays float).
+// derived from max |w| at `weight_bits` total bits. `w`/`b` are normally
+// the layer's own tensors; the compiler passes norm-folded copies where
+// fold-norm fired (b may be null for a bias-free layer). Returns false —
+// leaving *out* untouched — when `w` is null or empty (the layer stays
+// float).
 bool lower_layer_operands(int node, FixedPointFormat act_fmt, int weight_bits,
                           const Tensor* w, const Tensor* b, QLayerLowering* out);
-
-// A Network bound to one precision plan. Borrows the network (it must
-// outlive the QuantizedNetwork); owns all integer operands. Thread-safe
-// for concurrent forward() calls (the execution gate is thread-local).
-class QuantizedNetwork {
- public:
-  // `analyzed[i]` is the node id the plan's `formats[i]` applies to — the
-  // same pairing the pipeline's BitwidthAllocation uses. Nodes whose
-  // layer carries no weights are skipped (they keep their float path).
-  QuantizedNetwork(const Network& net, const std::vector<int>& analyzed,
-                   const std::vector<FixedPointFormat>& formats,
-                   const QExecOptions& opts = {});
-
-  // Integer-executed forward pass; returns the output of the final node.
-  Tensor forward(const Tensor& input) const;
-
-  int num_lowered() const { return static_cast<int>(lowered_.size()); }
-  const std::vector<QLayerLowering>& lowering() const { return lowered_; }
-  // nullptr when the node is not lowered.
-  const QLayerLowering* lowering_for_node(int node) const;
-
-  // Activations clipped by quantize-on-load across all forwards so far.
-  std::int64_t act_saturated() const { return act_saturated_.load(std::memory_order_relaxed); }
-  // Weights clipped during offline lowering (summed over layers).
-  std::int64_t weight_saturated() const;
-  std::int64_t forwards() const { return forwards_.load(std::memory_order_relaxed); }
-
-  const QExecOptions& options() const { return opts_; }
-
- private:
-  const Network* net_;
-  QExecOptions opts_;
-  std::vector<QLayerLowering> lowered_;
-  std::vector<int> lowered_index_;  // node id -> index into lowered_, or -1
-  mutable std::atomic<std::int64_t> act_saturated_{0};
-  mutable std::atomic<std::int64_t> forwards_{0};
-};
 
 }  // namespace mupod

@@ -8,7 +8,6 @@
 #include "hw/energy_model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "quant/qexec.hpp"
 
 namespace mupod {
 
@@ -528,9 +527,6 @@ LoweredPlan PlanService::lower_plan(const PlanKey& key, const PlanQuery& query) 
     net = e.net;
     analyzed = &e.analyzed;
   }
-  QExecOptions qopts;
-  qopts.weight_bits = cfg_.weight_bits;
-  lp.qnet = std::make_shared<QuantizedNetwork>(*net, *analyzed, lp.plan.alloc.formats, qopts);
   CompileOptions copts;
   copts.weight_bits = cfg_.weight_bits;
   lp.compiled = std::make_shared<CompiledNetwork>(
@@ -550,12 +546,14 @@ PlanValidation PlanService::validate_plan(const PlanKey& key, const PlanQuery& q
   v.predicted_drop = v.plan.accuracy_loss;
 
   Entry& e = entry(key);
+  const Network* net = nullptr;
   const std::vector<int>* analyzed = nullptr;
   const AnalysisHarness* harness = nullptr;
   {
     // Immutable once profile_ready (guaranteed by lower_plan's plan()), so
     // the borrowed pointers stay valid outside the lock.
     std::lock_guard<std::mutex> lk(e.mu);
+    net = e.net;
     analyzed = &e.analyzed;
     harness = e.harness.get();
   }
@@ -572,13 +570,14 @@ PlanValidation PlanService::validate_plan(const PlanKey& key, const PlanQuery& q
     v.emulated_accuracy = harness->accuracy_with_injection(inject);
   }
 
-  // Ground truth: the lowered integer network runs the SAME eval set
-  // against the SAME references.
-  QuantizedNetwork& qnet = *lp.qnet;
-  v.lowered_layers = qnet.num_lowered();
+  // Ground truth: the unfused integer network (every compile rule off)
+  // runs the SAME eval set against the SAME references.
+  const CompiledNetwork unfused = GraphCompiler(CompileOptions::unfused(cfg_.weight_bits))
+                                      .compile(*net, *analyzed, v.plan.alloc.formats);
+  v.lowered_layers = unfused.coverage().lowered;
   v.integer_accuracy =
-      harness->accuracy_with_executor([&](const Tensor& x) { return qnet.forward(x); });
-  v.act_saturated = qnet.act_saturated();
+      harness->accuracy_with_executor([&](const Tensor& x) { return unfused.forward(x); });
+  v.act_saturated = unfused.act_saturated();
 
   // Compiled path: the fused artifact the inference server serves, run on
   // the SAME eval set — the plan is only conformant if the artifact that

@@ -47,7 +47,6 @@
 #include "hw/accelerator_sim.hpp"
 #include "io/plan_io.hpp"
 #include "io/profile_io.hpp"
-#include "quant/qexec.hpp"
 
 namespace mupod {
 
@@ -114,8 +113,8 @@ struct PlanResult {
   bool plan_cached = false;
 };
 
-// Result of executing a plan on the INTEGER backend (quant/qexec) and
-// comparing against what the emulated pipeline predicted. The committed
+// Result of executing a plan on the INTEGER backend and comparing
+// against what the emulated pipeline predicted. The committed
 // conformance contract: integer_drop <= query.accuracy_target +
 // tolerance, where tolerance defaults to kValidationTolerance and covers
 // the emulated-vs-executed gap (integer MACs + requantized boundaries vs
@@ -126,11 +125,13 @@ struct PlanValidation {
   double tolerance = 0.0;    // budget slack this validation applied
   double float_accuracy = 1.0;
   double emulated_accuracy = -1.0;  // kQuantize-injection accuracy (fp32 MACs)
-  double integer_accuracy = -1.0;   // integer-executed accuracy (qexec)
+  double integer_accuracy = -1.0;   // integer-executed accuracy (unfused)
   double predicted_drop = 0.0;      // the plan's accuracy_loss estimate
   double emulated_drop = 0.0;       // measured, emulated path
   double integer_drop = 0.0;        // measured, integer path
   bool within_budget = false;       // integer_drop <= target + tolerance
+  // The integer_* fields come from the unfused integer reference, the
+  // plan compiled with every rule off (CompileOptions::unfused).
   std::int64_t act_saturated = 0;   // activations clipped by quantize-on-load
   int lowered_layers = 0;           // layers actually executed in integer
   // Compiled path (compile/graph_compiler.hpp): the SAME plan run through
@@ -149,19 +150,16 @@ struct PlanValidation {
 // integer_drop to accuracy_target + this.
 inline constexpr double kValidationTolerance = 0.02;
 
-// A plan answer lowered onto the integer backend (quant/qexec,
-// cfg.weight_bits weights): the query's per-layer formats bound to the
-// entry's registered Network as a ready-to-run QuantizedNetwork. The
-// lowered network borrows that Network — which the caller already
-// guarantees outlives the service — so the shared_ptr may be handed to
-// long-lived consumers (the inference server holds one per serving
-// snapshot and hot-swaps it on plan refresh).
+// A plan answer lowered onto the integer backend (cfg.weight_bits
+// weights): the query's per-layer formats compiled against the entry's
+// registered Network into the fused artifact (graph compiler: norm
+// folding, ReLU epilogues, cross-layer requantize) the inference server
+// serves. The compiled network borrows that Network — which the caller
+// already guarantees outlives the service — so the shared_ptr may be
+// handed to long-lived consumers (the inference server holds one per
+// serving snapshot and hot-swaps it on plan refresh).
 struct LoweredPlan {
   PlanResult plan;
-  std::shared_ptr<QuantizedNetwork> qnet;
-  // The fused artifact for the same plan (graph compiler: norm folding,
-  // ReLU epilogues, cross-layer requantize). This is what the inference
-  // server serves; qnet stays the unfused reference executor.
   std::shared_ptr<CompiledNetwork> compiled;
 };
 
@@ -243,18 +241,18 @@ class PlanService {
   // on first need), then the cheap allocate+validate tail. Thread-safe.
   PlanResult plan(const PlanKey& key, const PlanQuery& query);
 
-  // plan() plus lowering: answers the query and binds the resulting
-  // formats to the registered network on the integer backend. Thread-safe;
-  // the plan itself is memoized as usual, the lowering is built fresh per
-  // call (each consumer owns its snapshot). validate_plan executes through
-  // this; InferenceServer::install_plan serves from it.
+  // plan() plus lowering: answers the query and compiles the resulting
+  // formats against the registered network on the integer backend.
+  // Thread-safe; the plan itself is memoized as usual, the compiled
+  // network is built fresh per call (each consumer owns its snapshot).
   LoweredPlan lower_plan(const PlanKey& key, const PlanQuery& query);
 
-  // plan() plus ground truth: lowers the answer onto the integer backend
-  // (quant/qexec, cfg.weight_bits weights), runs the eval set through the
-  // integer-executed network on the entry's own harness, and reports the
-  // actual vs predicted accuracy drop. Thread-safe; the plan itself is
-  // memoized as usual (the integer execution is not — it IS the check).
+  // plan() plus ground truth: compiles the answer onto the integer
+  // backend (cfg.weight_bits weights) twice — unfused (every rule off)
+  // and fused, as lower_plan serves it — runs the eval set through both
+  // on the entry's own harness, and reports the actual vs predicted
+  // accuracy drop. Thread-safe; the plan itself is memoized as usual (the
+  // integer execution is not — it IS the check).
   PlanValidation validate_plan(const PlanKey& key, const PlanQuery& query,
                                double tolerance = kValidationTolerance);
 

@@ -142,9 +142,7 @@ void micro_row_edge(const KernelRegistry& reg, int kc, int mr_cur, const float* 
 }
 
 // ---------------------------------------------------------------------------
-// Mode flag and instrumentation
-
-std::atomic<GemmMode> g_mode{GemmMode::kBlocked};
+// Instrumentation
 
 struct GemmCounters {
   Counter* calls;
@@ -185,9 +183,6 @@ void note_scratch_growth(std::int64_t delta) {
 }
 
 }  // namespace
-
-GemmMode gemm_mode() { return g_mode.load(std::memory_order_relaxed); }
-void set_gemm_mode(GemmMode m) { g_mode.store(m, std::memory_order_relaxed); }
 
 GemmBlocking gemm_blocking() {
   const KernelRegistry& reg = kernel_registry();

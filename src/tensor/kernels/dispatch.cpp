@@ -67,7 +67,7 @@ KernelIsa startup_isa() {
   return detected_kernel_isa();
 }
 
-// Relaxed atomic, same discipline as GemmMode: reads are per-call cheap,
+// Relaxed atomic: reads are per-call cheap,
 // writes happen at startup or between forwards only.
 std::atomic<KernelIsa>& active_isa() {
   static std::atomic<KernelIsa> isa{startup_isa()};

@@ -22,8 +22,7 @@
 //   * the active ISA is detected once via CPUID (+ XGETBV for OS ymm
 //     state); MUPOD_FORCE_KERNEL={scalar,avx2,avx2fma} overrides it at
 //     startup, and set_kernel_isa() overrides it from tests/benches
-//     (not thread-safe: flip at startup or between forwards, like
-//     set_gemm_mode);
+//     (not thread-safe: flip at startup or between forwards);
 //   * forcing an ISA the build or CPU cannot run falls back to the
 //     detected one — kernel_isa() always names an ISA that can execute;
 //   * non-x86 builds compile only the scalar entry (the AVX2 TUs are

@@ -30,10 +30,6 @@ constexpr std::int64_t kSerialMacCutoff = 1 << 16;
 
 inline std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
-thread_local ExecMode t_exec_mode = ExecMode::kFloat;
-thread_local const QLayerBinding* t_qlayer = nullptr;
-thread_local const FloatFusion* t_float_fusion = nullptr;
-
 struct QGemmCounters {
   Counter* calls;
   Counter* macs;
@@ -580,15 +576,6 @@ bool qgemm16_simd(std::int64_t m, std::int64_t n, std::int64_t k, const std::int
 }
 
 }  // namespace
-
-ExecMode exec_mode() { return t_exec_mode; }
-void set_exec_mode(ExecMode m) { t_exec_mode = m; }
-
-const QLayerBinding* current_qlayer() { return t_qlayer; }
-void set_current_qlayer(const QLayerBinding* b) { t_qlayer = b; }
-
-const FloatFusion* current_float_fusion() { return t_float_fusion; }
-void set_current_float_fusion(const FloatFusion* f) { t_float_fusion = f; }
 
 const char* qtype_name(QType t) {
   switch (t) {

@@ -1,7 +1,7 @@
 // Test-side remnants of the fault-injection harness. The reusable
 // machinery (FaultKind / FaultSchedule / FaultyLayer / FaultInjector)
-// was promoted to src/core/fault.hpp so the cluster layer can inject the
-// same faults at node seams; what stays here is the small CNN builder
+// was promoted to src/core/fault.hpp so the inference server can inject
+// the same faults at its forward seam; what stays here is the small CNN builder
 // with a fault planted mid-network, which depends on the zoo/data helpers
 // and is only meaningful to tests. The pipeline must survive these faults
 // with diagnostics and a conservative allocation — never a crash or a

@@ -6,9 +6,10 @@
 //     counts and across forced-scalar vs the detected ISA. Fused
 //     epilogues (ReLU, folded norm) apply the exact same float
 //     expressions at the same store points, so not a single bit may move.
-//   * INTEGER, elision off: compiled == QuantizedNetwork BITWISE — same
-//     lowering math (lower_layer_operands), same float-carrier stores, so
-//     fusing ReLU into the epilogue is invisible at the bit level.
+//   * INTEGER, elision off: compiled == the unfused compile (every rule
+//     off) BITWISE — same lowering math (lower_layer_operands), same
+//     float-carrier stores, so fusing ReLU into the epilogue and dropping
+//     noops are invisible at the bit level.
 //   * INTEGER, elision on: each fused boundary is held to the committed
 //     one-quantization-step contract. Every lowered step is recomputed
 //     with a naive int64 reference from the compiled network's own
@@ -127,25 +128,26 @@ TEST(CompileEquivalence, FloatBitwiseAcrossRandomBoundaryNets) {
 
 // ---------------------------------------------------------------------------
 // Integer path, requantize elision OFF: the compiled program must be
-// bitwise identical to the unfused QuantizedNetwork — every store is
-// still a float dequant store, fused ReLU applies the same expression the
-// separate ReLU layer would, and the operands come from the same
-// lower_layer_operands. (fold_norm changes the folded weights' w_fmt, so
-// it is disabled here to keep operands identical on nets with norms.)
-TEST(CompileEquivalence, IntegerUnfusedElisionOffMatchesQexecBitwise) {
+// bitwise identical to the unfused compile (every rule off: one step per
+// node) — every store is still a float dequant store, fused ReLU applies
+// the same expression the separate ReLU layer would, and the operands
+// come from the same lower_layer_operands. (fold_norm changes the folded
+// weights' w_fmt, so it is disabled here to keep operands identical on
+// nets with norms.)
+TEST(CompileEquivalence, IntegerElisionOffMatchesUnfusedCompileBitwise) {
   ExecConfigGuard guard;
   CompileOptions co;
   co.weight_bits = 8;
   co.elide_requant = false;
   co.fold_norm = false;
-  QExecOptions qo;
-  qo.weight_bits = 8;
 
   const auto check = [&](const Network& net, const std::vector<int>& analyzed,
                          const std::vector<FixedPointFormat>& formats, const Tensor& x,
                          const std::string& tag) {
     const CompiledNetwork cn = GraphCompiler(co).compile(net, analyzed, formats);
-    const QuantizedNetwork qn(net, analyzed, formats, qo);
+    const CompiledNetwork qn =
+        GraphCompiler(CompileOptions::unfused(8)).compile(net, analyzed, formats);
+    ASSERT_EQ(qn.coverage().steps, net.num_nodes()) << tag;
     for (KernelIsa isa : isas_to_test()) {
       set_kernel_isa(isa);
       for (int workers : {1, 0}) {

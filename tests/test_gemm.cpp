@@ -10,6 +10,7 @@
 #include <cstring>
 #include <vector>
 
+#include "conv_reference.hpp"
 #include "nn/layers.hpp"
 #include "obs/metrics.hpp"
 #include "stats/rng.hpp"
@@ -43,11 +44,15 @@ void ref_gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a, st
     }
 }
 
+// No padding bytes: gtest names each case by dumping the struct's bytes,
+// so padding would make the test names differ from run to run. trans_b
+// is an int32 (0/1) rather than a bool for that reason.
 struct GemmCase {
   std::int64_t m, n, k;
   float beta;
-  bool trans_b;
+  std::int32_t trans_b;
 };
+static_assert(sizeof(GemmCase) == 3 * sizeof(std::int64_t) + 2 * sizeof(std::int32_t));
 
 class GemmVsReference : public ::testing::TestWithParam<GemmCase> {};
 
@@ -123,7 +128,10 @@ TEST(Gemm, RepeatCallsAreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer-level parity: blocked vs legacy paths
+// Layer-level parity: the production conv/FC paths (blocked GEMM, and the
+// direct conv loop where the use_gemm gate picks it) against naive
+// double-accumulation references. The test names date from when the
+// reference was the pre-GEMM scalar path.
 
 Conv2DLayer make_conv(const Conv2DLayer::Config& cfg, std::uint64_t seed) {
   Conv2DLayer conv(cfg);
@@ -160,16 +168,11 @@ TEST_P(ConvPathParity, BlockedMatchesLegacy) {
   const Shape shapes[1] = {x.shape()};
   const Tensor* ins[1] = {&x};
   Tensor y_blocked(conv.output_shape(shapes));
-  Tensor y_legacy(conv.output_shape(shapes));
-
-  set_gemm_mode(GemmMode::kBlocked);
   conv.forward(ins, y_blocked);
-  set_gemm_mode(GemmMode::kLegacy);
-  conv.forward(ins, y_legacy);
-  set_gemm_mode(GemmMode::kBlocked);
+  const Tensor y_ref = reference_conv(conv, x);
 
   for (std::int64_t i = 0; i < y_blocked.numel(); ++i)
-    ASSERT_NEAR(y_blocked[i], y_legacy[i], 1e-4) << "element " << i;
+    ASSERT_NEAR(y_blocked[i], y_ref[i], 1e-4) << "element " << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -198,14 +201,18 @@ TEST(InnerProductParity, BlockedMatchesLegacyAcrossBatch) {
     const Shape shapes[1] = {x.shape()};
     const Tensor* ins[1] = {&x};
     Tensor y_blocked(fc.output_shape(shapes));
-    Tensor y_legacy(fc.output_shape(shapes));
-    set_gemm_mode(GemmMode::kBlocked);
     fc.forward(ins, y_blocked);
-    set_gemm_mode(GemmMode::kLegacy);
-    fc.forward(ins, y_legacy);
-    set_gemm_mode(GemmMode::kBlocked);
-    for (std::int64_t i = 0; i < y_blocked.numel(); ++i)
-      ASSERT_NEAR(y_blocked[i], y_legacy[i], 1e-4) << "batch " << batch << " element " << i;
+    // Naive reference: one double-accumulated dot product per output.
+    const float* w = fc.weights()->data();
+    const float* b = fc.bias()->data();
+    for (int n = 0; n < batch; ++n)
+      for (int o = 0; o < 75; ++o) {
+        double ref = b[o];
+        for (int i = 0; i < 137; ++i)
+          ref += static_cast<double>(x[static_cast<std::int64_t>(n) * 137 + i]) * w[o * 137 + i];
+        ASSERT_NEAR(y_blocked[static_cast<std::int64_t>(n) * 75 + o], ref, 1e-4)
+            << "batch " << batch << " row " << n << " output " << o;
+      }
   }
 }
 
@@ -248,7 +255,6 @@ TEST(GemmDeterminism, BatchDecompositionInvariant) {
   const Shape shapes[1] = {x.shape()};
   const Tensor* ins[1] = {&x};
   Tensor y_batch(conv.output_shape(shapes));
-  set_gemm_mode(GemmMode::kBlocked);
   conv.forward(ins, y_batch);
 
   const std::int64_t img_in = x.numel() / batch;

@@ -1,10 +1,11 @@
-// InferenceServer battery: batch policy fake-clock walks, size/timeout/
-// drain flush behaviour, deadline semantics at each lifecycle point,
-// admission control, shutdown draining, bit-determinism of batched rows,
-// integer-backend serving, plan hot-swap under load, seeded chaos, and the
-// ServerStats <-> infer.* metrics symmetry contract. Runs in the
-// `sanitize` ctest label so the TSan lane exercises the batcher thread,
-// the shared-mutex registry, and concurrent submitters for real.
+// InferenceServer battery: fault-injector schedules, batch policy
+// fake-clock walks, size/timeout/drain flush behaviour, deadline
+// semantics at each lifecycle point, admission control, shutdown
+// draining, bit-determinism of batched rows, integer-backend serving,
+// plan hot-swap under load, seeded chaos, and the ServerStats <->
+// infer.* metrics symmetry contract. Runs in the `sanitize` ctest label
+// so the TSan lane exercises the batcher thread, the shared-mutex
+// registry, and concurrent submitters for real.
 #include "infer/server.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/clock.hpp"
+#include "compile/graph_compiler.hpp"
 #include "core/fault.hpp"
 #include "data/synthetic.hpp"
 #include "infer/batch_policy.hpp"
@@ -62,6 +64,53 @@ std::vector<FixedPointFormat> uniform_formats(int n, int integer_bits, int fract
   return std::vector<FixedPointFormat>(static_cast<std::size_t>(n),
                                        FixedPointFormat{integer_bits, fraction_bits});
 }
+
+// --- FaultInjector: the deterministic schedules behind "infer.forward" -----
+
+TEST(FaultInjector, CounterWindowFiresDeterministically) {
+  FaultInjector inj;
+  FaultSchedule s;
+  s.kind = FaultKind::kDelay;
+  s.first_call = 2;
+  s.period = 3;
+  s.last_call = 8;
+  s.delay_us = 123;
+  inj.arm("p", s);
+  std::vector<int> fired_at;
+  for (int i = 0; i < 12; ++i) {
+    if (auto a = inj.check("p")) {
+      fired_at.push_back(i);
+      EXPECT_EQ(a->kind, FaultKind::kDelay);
+      EXPECT_EQ(a->delay_us, 123);
+    }
+  }
+  EXPECT_EQ(fired_at, (std::vector<int>{2, 5, 8}));
+  EXPECT_EQ(inj.calls("p"), 12);
+  EXPECT_EQ(inj.fired("p"), 3);
+  inj.disarm("p");
+  EXPECT_FALSE(inj.check("p").has_value());
+}
+
+TEST(FaultInjector, SeededProbabilityIsAPreCommittedCoinSequence) {
+  FaultSchedule s;
+  s.kind = FaultKind::kDrop;
+  s.probability = 0.3;
+  s.seed = 42;
+  FaultInjector a, b;
+  a.arm("p", s);
+  b.arm("q", s);
+  int fired = 0;
+  for (int i = 0; i < 64; ++i) {
+    const bool fa = a.check("p").has_value();
+    const bool fb = b.check("q").has_value();
+    EXPECT_EQ(fa, fb) << "call " << i;
+    EXPECT_EQ(fa, fault_coin(42, i, 0.3)) << "call " << i;
+    fired += fa ? 1 : 0;
+  }
+  EXPECT_GT(fired, 0);
+  EXPECT_LT(fired, 64);
+}
+
 
 // --- BatchPolicy: pure decisions on an explicit clock ----------------------
 
@@ -416,11 +465,11 @@ TEST(InferenceServer, IntegerBackendRequiresAnInstalledPlan) {
   server.stop();
 }
 
-TEST(InferenceServer, IntegerBatchesMatchDirectQuantizedNetworkBitwise) {
+TEST(InferenceServer, IntegerBatchesMatchUnfusedCompileBitwise) {
   const InferFixture& f = fixture();
   const auto formats = uniform_formats(static_cast<int>(f.model.analyzed.size()), 8, 8);
-  QExecOptions qopts;
-  const QuantizedNetwork direct(f.model.net, f.model.analyzed, formats, qopts);
+  const CompiledNetwork direct =
+      GraphCompiler(CompileOptions::unfused(16)).compile(f.model.net, f.model.analyzed, formats);
 
   InferenceServerConfig cfg;
   cfg.batch.max_batch = 4;
@@ -428,7 +477,7 @@ TEST(InferenceServer, IntegerBatchesMatchDirectQuantizedNetworkBitwise) {
   InferenceServer server(cfg);
   server.register_model("tiny", f.model.net, f.model.analyzed);
   EXPECT_EQ(server.plan_version("tiny"), 0u);
-  EXPECT_EQ(server.install_plan("tiny", formats, qopts), 1u);
+  EXPECT_EQ(server.install_plan("tiny", formats), 1u);
   EXPECT_EQ(server.plan_version("tiny"), 1u);
 
   std::vector<std::future<InferenceResult>> futs;

@@ -6,6 +6,9 @@
 #include <memory>
 #include <thread>
 
+#include "compile/compiled_network.hpp"
+#include "compile/graph_compiler.hpp"
+#include "compile_testlib.hpp"
 #include "nn/layers.hpp"
 #include "stats/rng.hpp"
 #include "zoo/zoo.hpp"
@@ -353,6 +356,96 @@ TEST(ForwardArena, FourThreadsAtOnce) {
           mismatches[static_cast<std::size_t>(t)] +=
               run_arena_case(cases[static_cast<std::size_t>(k)], seeds[k]);
         }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < 4; ++t) EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+}
+
+// Compiled forwards (compile/) run in the same per-thread arena as
+// Network::forward. A schedule that interleaves the three executors at
+// changing batch sizes must reproduce, bit for bit, what each produces
+// with nothing reused.
+struct MixedArenaCase {
+  Tensor input;
+  Tensor plain;          // Network::forward, fresh allocation
+  Tensor compiled_f32;   // compiled float program, fresh arena
+  Tensor compiled_int8;  // fused int8 program, fresh arena
+};
+
+struct MixedArenaFixture {
+  // A random net with norms, branches and noops; its int8 compile has
+  // fused regions, so carrier tensors pass through the arena slots.
+  compiletest::RandomNet model = compiletest::make_random_net(3);
+  CompiledNetwork cfloat;
+  CompiledNetwork cint8;
+  std::vector<MixedArenaCase> cases;  // one per batch of the schedule
+};
+
+const MixedArenaFixture& mixed_arena_fixture() {
+  static const MixedArenaFixture* f = [] {
+    auto* fx = new MixedArenaFixture();
+    fx->cfloat = GraphCompiler().compile(fx->model.net);
+    CompileOptions co;
+    co.weight_bits = 8;
+    fx->cint8 = GraphCompiler(co).compile(fx->model.net, fx->model.analyzed,
+                                          compiletest::int8_formats(fx->model.analyzed.size()));
+    const Shape unit = fx->model.net.node(fx->model.net.input_node()).unit_shape;
+    for (int batch : {3, 1, 5, 2, 5, 1}) {
+      MixedArenaCase c;
+      c.input = random_input(unit.with_dim(0, batch), 200 + static_cast<std::uint64_t>(batch));
+      c.plain = reference_forward(fx->model.net, c.input);
+      // A new thread starts with an empty arena: every slot is freshly
+      // allocated for these reference runs.
+      std::thread([&] {
+        c.compiled_f32 = fx->cfloat.forward(c.input);
+        c.compiled_int8 = fx->cint8.forward(c.input);
+      }).join();
+      fx->cases.push_back(std::move(c));
+    }
+    return fx;
+  }();
+  return *f;
+}
+
+// Walks the batch schedule from `start`, alternating the executor order
+// per case; returns the number of outputs that differ from the fresh runs.
+int run_mixed_schedule(const MixedArenaFixture& f, std::size_t start) {
+  int mismatches = 0;
+  const std::size_t n = f.cases.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const MixedArenaCase& c = f.cases[(start + i) % n];
+    if (i % 2 == 0) {
+      if (!bitwise_equal(f.cint8.forward(c.input), c.compiled_int8)) ++mismatches;
+      if (!bitwise_equal(f.model.net.forward(c.input), c.plain)) ++mismatches;
+      if (!bitwise_equal(f.cfloat.forward(c.input), c.compiled_f32)) ++mismatches;
+    } else {
+      if (!bitwise_equal(f.cfloat.forward(c.input), c.compiled_f32)) ++mismatches;
+      if (!bitwise_equal(f.cint8.forward(c.input), c.compiled_int8)) ++mismatches;
+      if (!bitwise_equal(f.model.net.forward(c.input), c.plain)) ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+TEST(ForwardArena, CompiledAndNetworkForwardsInterleavedOnOneThread) {
+  const MixedArenaFixture& f = mixed_arena_fixture();
+  ASSERT_GT(f.cint8.coverage().qdq_elided, 0) << "no carrier tensors: the int8 leg is vacuous";
+  for (const MixedArenaCase& c : f.cases)
+    EXPECT_TRUE(bitwise_equal(c.compiled_f32, c.plain)) << "compiled float != Network::forward";
+  for (int round = 0; round < 2; ++round)
+    EXPECT_EQ(run_mixed_schedule(f, 0), 0) << "round " << round;
+}
+
+TEST(ForwardArena, CompiledAndNetworkForwardsInterleavedOnFourThreads) {
+  const MixedArenaFixture& f = mixed_arena_fixture();
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 2; ++round)
+        mismatches[static_cast<std::size_t>(t)] +=
+            run_mixed_schedule(f, static_cast<std::size_t>(t));
     });
   }
   for (std::thread& th : threads) th.join();

@@ -14,8 +14,8 @@
 //      test_determinism.cpp), so the comparison is exact.
 //
 // The compiled columns (added with the graph compiler) measure the FUSED
-// artifact the inference server serves; `integer` stays the unfused qexec
-// path. The two may differ by at most one quantization step per fused
+// artifact the inference server serves; `integer` stays the unfused
+// path (the same plan compiled with every rule off). The two may differ by at most one quantization step per fused
 // region boundary (requantize-once vs dequantize+requantize;
 // docs/method.md Sec. 17), which can flip individual argmaxes — hence
 // separate columns rather than an equality assertion. Both are held to

@@ -25,6 +25,8 @@
 #include <limits>
 #include <vector>
 
+#include "compile/compiled_network.hpp"
+#include "compile/graph_compiler.hpp"
 #include "nn/layers.hpp"
 #include "obs/metrics.hpp"
 #include "quant/fixed_point.hpp"
@@ -74,11 +76,15 @@ void ref_qgemm(std::int64_t m, std::int64_t n, std::int64_t k, const std::int32_
     }
 }
 
+// No padding bytes: gtest names each case by dumping the struct's bytes,
+// so padding would make the test names differ from run to run. trans_b
+// is an int32 (0/1) rather than a bool for that reason.
 struct QCase {
   std::int64_t m, n, k;
-  bool trans_b;
-  int bias;  // 0 = none, 1 = bias_row, 2 = bias_col
+  std::int32_t trans_b;
+  std::int32_t bias;  // 0 = none, 1 = bias_row, 2 = bias_col
 };
+static_assert(sizeof(QCase) == 3 * sizeof(std::int64_t) + 2 * sizeof(std::int32_t));
 
 // Shapes chosen around the QMR x QNR = 4 x 16 micro-tile: degenerate
 // extents, exact multiples, and ragged remainders on both axes. Large
@@ -504,11 +510,10 @@ TEST(QExecMetamorphic, ConvEmulatedAndIntegerAgreeWithinOneStep) {
   }
   net.finalize();
 
-  QExecOptions qopts;
-  qopts.weight_bits = weight_bits;
-  QuantizedNetwork qnet(net, {conv_id}, {act_fmt}, qopts);
-  ASSERT_EQ(qnet.num_lowered(), 1);
-  const QLayerLowering& L = qnet.lowering()[0];
+  const CompiledNetwork qnet =
+      GraphCompiler(CompileOptions::unfused(weight_bits)).compile(net, {conv_id}, {act_fmt});
+  ASSERT_EQ(qnet.coverage().lowered, 1);
+  const QLayerLowering& L = qnet.steps()[static_cast<std::size_t>(qnet.step_of_src(conv_id))].lw;
   const double acc_scale = act_fmt.step() * L.w_fmt.step();
 
   // Emulated: round input and weights onto their grids, compute in fp32.
@@ -534,8 +539,8 @@ TEST(QExecMetamorphic, ConvEmulatedAndIntegerAgreeWithinOneStep) {
         << "output " << i << ": emulated " << y_emulated[i] << " vs integer " << y_integer[i];
 }
 
-// The integer-executed QuantizedNetwork forward is itself bit-identical
-// across worker counts (quantize-on-load chunks + qgemm tiles).
+// The unfused integer-executed forward is itself bit-identical across
+// worker counts (quantize-on-load chunks + qgemm tiles).
 TEST(QExecDeterminism, QuantizedForwardBitIdenticalAcrossWorkers) {
   Conv2DLayer::Config cfg;
   cfg.in_channels = 4;
@@ -559,7 +564,8 @@ TEST(QExecDeterminism, QuantizedForwardBitIdenticalAcrossWorkers) {
   FixedPointFormat fmt;
   fmt.integer_bits = 4;
   fmt.fraction_bits = 8;
-  QuantizedNetwork qnet(net, {conv_id}, {fmt});
+  const CompiledNetwork qnet =
+      GraphCompiler(CompileOptions::unfused(16)).compile(net, {conv_id}, {fmt});
 
   Tensor x(Shape({4, 4, 16, 16}));
   for (std::int64_t i = 0; i < x.numel(); ++i)

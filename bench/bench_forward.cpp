@@ -20,11 +20,13 @@
 // plan install builds — against their unfused counterparts. The fused
 // float program must be bitwise identical to the blocked path
 // (fused_max_diff == 0); fused int8 elides the interior
-// dequantize/requantize passes and the separate ReLU passes, so it must
-// beat unfused int8 at batch 1 (the int8_fused_speedup column /
-// `fused_int8_wins_batch1` in the JSON). Per-net fusion counts land in
-// the JSON rows; `--print-fusion` emits them alone as a JSON object for
-// the bench manifest.
+// dequantize/requantize passes and the separate ReLU passes. Whether that
+// makes it faster than unfused int8 at batch 1 is recorded, not gated:
+// the int8_fused_speedup column and `fused_int8_wins_batch1` in the JSON.
+// On NiN the flag currently reads false (int8_fused_speedup measured
+// 0.94-0.99x on a 4-vCPU AVX2+FMA Xeon; ROADMAP item 4). Per-net fusion
+// counts land in the JSON rows; `--print-fusion` emits them alone as a
+// JSON object for the bench manifest.
 //
 // Usage: bench_forward [--nets a,b,c] [--reps N] [--json FILE] [--print-fusion]
 // scripts/run_benchmarks.sh parks the JSON at bench_logs/BENCH_forward.json
@@ -285,9 +287,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The §17 serving claim: the fused int8 program strictly beats unfused
-  // int8 at batch 1 on the conv workhorses (true whenever both nets ran;
-  // vacuously recorded false when neither is in --nets).
+  // Recorded, not gated: whether the fused int8 program strictly beats
+  // unfused int8 at batch 1 on the conv workhorses (true when every such
+  // row did; recorded false when neither is in --nets).
   bool fused_int8_wins_batch1 = false;
   bool saw_batch1_conv_net = false;
   for (const Row& r : rows) {

@@ -1,11 +1,12 @@
 // bench_telemetry: bounds the cost of FULL observability on the serving
-// path — metrics + tracing + flight recording all enabled at once, against
-// everything off — through a loaded InferenceServer.
+// path — metrics + tracing both enabled, against everything off — through
+// a loaded InferenceServer.
 //
-// The telemetry layer (src/obs/telemetry.hpp) only earns its place if
-// operators can leave the whole stack on in production: every submit mints
-// a trace context and opens an async lane, every batch records dispatch
-// events, every resolve deposits a flight-recorder record. This bench
+// Request tracing (src/obs/trace.hpp) and the infer.* metrics only earn
+// their place if operators can leave them on in production: every submit
+// mints a trace context and opens an async lane, every batch records
+// dispatch events, every resolve closes the lane with the request's
+// terminal status and records the latency histograms. This bench
 // closed-loops a client fleet through the batcher in both modes,
 // alternating per round (min-of-N, same discipline as
 // bench_observability), and FAILS (exit 1) when the fully-enabled mode is
@@ -27,7 +28,6 @@
 #include "infer/server.hpp"
 #include "io/json_writer.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -39,7 +39,6 @@ constexpr double kMaxOverheadPct = 3.0;
 void set_all(bool on) {
   set_metrics_enabled(on);
   set_tracing_enabled(on);
-  set_flight_recording_enabled(on);
 }
 
 // One closed-loop round: `clients` threads, one outstanding request each,
@@ -103,7 +102,7 @@ int main(int argc, char** argv) {
   if (requests < clients) requests = clients;
 
   bench::print_header("telemetry overhead: serving path, full observability off vs on",
-                      "obs telemetry layer; bound: < 3% through the batcher");
+                      "obs metrics + tracing; bound: < 3% through the batcher");
 
   bench::ExperimentConfig ecfg;
   bench::Experiment e = bench::make_experiment(net_name, ecfg);
@@ -118,8 +117,8 @@ int main(int argc, char** argv) {
   std::atomic<std::int64_t> failures{0};
 
   // One untimed warm-up round per mode: pages in caches, registers the
-  // lazy instruments, and sizes the tracer/flight-recorder rings so the
-  // timed "on" rounds measure steady state.
+  // lazy instruments, and sizes the tracer ring so the timed "on" rounds
+  // measure steady state.
   set_all(false);
   (void)round_s(e, pool, clients, requests, &failures);
   set_all(true);
@@ -134,7 +133,6 @@ int main(int argc, char** argv) {
   }
   set_all(false);
 
-  const std::int64_t flight_records = flight_recorder().recorded();
   const std::size_t trace_events = tracer().size();
 
   const double off_min = *std::min_element(off_s.begin(), off_s.end());
@@ -146,12 +144,10 @@ int main(int argc, char** argv) {
   std::printf("network %s, %d client(s) x %d request(s), %d rep(s) per mode (min-of-N):\n",
               net_name.c_str(), clients, requests, reps);
   std::printf("  observability off     %8.1f ms\n", off_min * 1e3);
-  std::printf("  observability on      %8.1f ms  (metrics + tracing + flight recorder)\n",
-              on_min * 1e3);
+  std::printf("  observability on      %8.1f ms  (metrics + tracing)\n", on_min * 1e3);
   std::printf("  overhead              %+7.2f %%  (bound %.1f %%)  -> %s\n", overhead_pct,
               kMaxOverheadPct, pass ? "PASS" : "FAIL");
-  std::printf("  flight records        %8lld   trace events retained %zu\n",
-              static_cast<long long>(flight_records), trace_events);
+  std::printf("  trace events retained %8zu\n", trace_events);
   if (!served_ok)
     std::printf("  WARNING: %lld request(s) did not resolve ok\n",
                 static_cast<long long>(failures.load()));
@@ -168,7 +164,6 @@ int main(int argc, char** argv) {
     j.kv("serve_on_ms_min", on_min * 1e3);
     j.kv("overhead_pct", overhead_pct);
     j.kv("bound_pct", kMaxOverheadPct);
-    j.kv("flight_records", flight_records);
     j.kv("trace_events_retained", static_cast<std::int64_t>(trace_events));
     j.kv("failures", failures.load());
     j.kv("pass", pass);

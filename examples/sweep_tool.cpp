@@ -239,7 +239,6 @@ int main(int argc, char** argv) {
     j.kv("sigma_misses", stats.sigma_misses).kv("sigma_hits", stats.sigma_hits);
     j.kv("plan_misses", stats.plan_misses).kv("plan_hits", stats.plan_hits);
     j.kv("profile_waits", stats.profile_waits).kv("sigma_waits", stats.sigma_waits);
-    j.kv("plan_evictions", stats.plan_evictions);
     j.kv("profile_loads", stats.profile_loads)
         .kv("profile_load_rejected", stats.profile_load_rejected);
     j.end_object();

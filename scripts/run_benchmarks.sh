@@ -30,7 +30,7 @@
 # capacity, and the batched == sequential bitwise-determinism gate.
 #
 # BENCH_telemetry.json records the full-observability cost on the serving
-# path (tracing + metrics + flight recorder on vs everything off, min-of-N
+# path (tracing + metrics on vs everything off, min-of-N
 # through InferenceServer) and fails the run when it exceeds 3%.
 #
 # BENCH_micro_kernels.json records the SIMD micro-kernel roofline sweep

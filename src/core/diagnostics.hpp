@@ -29,8 +29,8 @@ enum class PipelineStage {
   kValidate,     // real-quantization validation / refinement loop
   kWeightSearch, // Sec. V-E weight bitwidth search
   kIo,           // profile/report (de)serialization
-  kServe,        // PlanService cache lifecycle: rejected profile loads,
-                 // plan-memo evictions, entry registration
+  kServe,        // PlanService cache lifecycle: accepted and rejected
+                 // profile loads
 };
 
 const char* severity_name(DiagSeverity s);

@@ -18,11 +18,12 @@
 //     same schedule.
 //
 // Fault kinds split into data faults (kNaN / kInf / kSaturate — poison the
-// payload) and node faults (kDelay — injected latency; kDrop — the
-// operation never completes). FaultyLayer applies data faults to its
-// output tensor and honors kDelay as a stall; kDrop is meaningless for a
-// layer (a forward cannot "not return") and passes through. The
-// inference server's "infer.forward" point honors all five.
+// payload) and control faults (kDelay — injected latency; kDrop — the
+// operation fails without producing a result). FaultyLayer applies data
+// faults to its output tensor and honors kDelay as a stall; kDrop is
+// meaningless for a layer (its forward always produces an output) and
+// passes through. The inference server's "infer.forward" point honors all
+// five: kDrop there fails the whole batch.
 #pragma once
 
 #include <algorithm>
@@ -49,7 +50,7 @@ enum class FaultKind {
   kInf,       // +infinity
   kSaturate,  // finite but absurdly large (~1e6) — degrades fits, not isfinite
   kDelay,     // injected latency: the operation completes, late
-  kDrop,      // the operation never completes (dead / unresponsive node)
+  kDrop,      // the operation fails without a result (infer: the batch fails)
 };
 
 inline const char* fault_kind_name(FaultKind k) {
@@ -108,7 +109,7 @@ inline void fault_poison(std::span<float> data, const FaultSchedule& s) {
     case FaultKind::kInf: v = std::numeric_limits<float>::infinity(); break;
     case FaultKind::kSaturate: v = 1e6f; break;
     case FaultKind::kDelay:
-    case FaultKind::kDrop: return;  // node faults carry no payload corruption
+    case FaultKind::kDrop: return;  // control faults carry no payload corruption
   }
   for (std::size_t i = 0; i < data.size(); i += stride) data[i] = v;
 }
@@ -211,7 +212,7 @@ class FaultyLayer final : public Layer {
         std::this_thread::sleep_for(std::chrono::microseconds(schedule_.delay_us));
         break;
       case FaultKind::kDrop:
-        break;  // a forward cannot "not return"; node-level concept only
+        break;  // a layer forward cannot fail this way; the server's batch can
       default:
         fault_poison(out.span(), schedule_);
         break;

@@ -10,7 +10,6 @@
 #include "core/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stage_scope.hpp"
-#include "obs/telemetry.hpp"
 
 namespace mupod {
 
@@ -341,7 +340,7 @@ void InferenceServer::execute_batch(std::vector<std::unique_ptr<Request>> batch,
   const int rows = static_cast<int>(batch.size());
   const std::int64_t collected_us = mono_now_us();
 
-  // Batch sequence number: joins every rider's result/trace/flight record
+  // Batch sequence number: joins every rider's result and trace lane
   // to the one coalesced forward that served them.
   const std::int64_t batch_id = batches_.fetch_add(1, std::memory_order_relaxed) + 1;
   rows_.fetch_add(rows, std::memory_order_relaxed);
@@ -484,22 +483,6 @@ void InferenceServer::resolve(std::unique_ptr<Request> r, InferenceResult&& res)
   }
   trace_async('e', "infer.request", r->ctx, "status", static_cast<std::int64_t>(res.status));
   trace_flow('f', "infer.request", r->ctx);
-  if (flight_recording_enabled()) {
-    RequestRecord rec;
-    rec.trace_id = r->ctx.trace_id;
-    rec.request_id = r->id;
-    rec.source = "infer";
-    rec.status = infer_status_name(res.status);
-    rec.ok = res.status == InferStatus::kOk;
-    rec.deadline_hit = res.status == InferStatus::kDeadlineExceeded ||
-                       res.status == InferStatus::kExpiredInQueue;
-    rec.queue_us = res.queue_us;
-    rec.exec_us = res.run_us;
-    rec.total_us = res.total_us;
-    rec.batch_id = res.batch_id;
-    rec.t_us = now;
-    flight_recorder().record(rec);
-  }
   r->promise.set_value(std::move(res));
 }
 

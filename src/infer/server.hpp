@@ -127,8 +127,9 @@ struct InferenceResult {
   std::string error;          // diagnosis for kError / rejections
   // Correlation: the request's trace id (0 when tracing was off at
   // submit) and the sequence number of the batch that executed it (-1 if
-  // it never reached a batch). These join the result to the Chrome-trace
-  // lane and the flight-recorder record for the same request.
+  // it never reached a batch). These join the result to its Chrome-trace
+  // lane, whose 'e' event carries the terminal status and whose dispatch
+  // event carries the same batch id.
   std::uint64_t trace_id = 0;
   std::int64_t batch_id = -1;
 };

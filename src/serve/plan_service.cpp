@@ -43,8 +43,8 @@ std::uint64_t target_bits(double accuracy_target) {
 
 // serve.* cache counters are low-frequency (once per query), so a name
 // lookup per bump is fine.
-void bump(const char* name, std::int64_t n = 1) {
-  if (metrics_enabled()) metrics().counter(name).add(n);
+void bump(const char* name) {
+  if (metrics_enabled()) metrics().counter(name).add(1);
 }
 
 }  // namespace
@@ -149,7 +149,6 @@ struct PlanService::Entry {
   DiagnosticSink profile_diag;
   std::map<std::uint64_t, SigmaMemo> sigma;  // key: accuracy-target bit pattern
   std::map<std::string, PlanResult> plans;
-  std::deque<std::string> plan_order;  // FIFO insertion order, for eviction
 };
 
 PlanService::PlanService(PlanServiceConfig cfg) : cfg_(std::move(cfg)) {
@@ -361,26 +360,6 @@ bool PlanService::load_profile(const PlanKey& key, const ProfileBundle& bundle) 
   return true;
 }
 
-ProfileBundle PlanService::export_profile(const PlanKey& key) const {
-  const Entry& e = entry(key);
-  std::lock_guard<std::mutex> lk(e.mu);
-  if (!e.profile_ready)
-    throw std::runtime_error("plan service: export_profile on " + key.to_string() +
-                             " before the profile is ready (call ensure_profile first)");
-  ProfileBundle b;
-  b.network = e.name;
-  b.net_hash = key.net_hash;
-  b.models = e.prof.models;
-  b.ranges = e.prof.ranges;
-  b.layer_names.reserve(e.analyzed.size());
-  for (int id : e.analyzed) {
-    b.layer_names.push_back(e.net->node(id).name);
-    b.input_elems.push_back(e.net->node(id).cost.input_elems);
-    b.macs.push_back(e.net->node(id).cost.macs);
-  }
-  return b;
-}
-
 namespace {
 
 std::string plan_memo_key(const PlanQuery& q) {
@@ -482,27 +461,9 @@ PlanResult PlanService::plan(const PlanKey& key, const PlanQuery& query) {
   r.sim_speedup = sim.speedup_vs_baseline;
 
   lk.lock();
-  int evicted = 0;
-  std::string victim;
   // Two racers compute identical answers; keep the first.
-  if (e.plans.emplace(memo_key, r).second) {
-    e.plan_order.push_back(memo_key);
-    while (cfg_.max_plans_per_entry > 0 && e.plans.size() > cfg_.max_plans_per_entry) {
-      victim = std::move(e.plan_order.front());
-      e.plan_order.pop_front();
-      e.plans.erase(victim);
-      ++evicted;
-    }
-  }
+  e.plans.emplace(memo_key, r);
   lk.unlock();
-  if (evicted > 0) {
-    serve_diag_.report(DiagSeverity::kInfo, PipelineStage::kServe, -1,
-                       "plan memo for " + key.to_string() + " exceeded max_plans_per_entry (" +
-                           std::to_string(cfg_.max_plans_per_entry) + "); evicted " +
-                           std::to_string(evicted) + " oldest plan(s)",
-                       "evicted queries recompute their allocation tail on next ask");
-    bump("serve.plan.evictions", evicted);
-  }
   charge_metrics();
   bump("serve.plan.misses");
   span.arg("plan_cached", 0);
@@ -510,7 +471,6 @@ PlanResult PlanService::plan(const PlanKey& key, const PlanQuery& query) {
   std::lock_guard<std::mutex> slk(mu_);
   charge(slk);
   ++stats_.plan_misses;
-  stats_.plan_evictions += evicted;
   return r;
 }
 
@@ -661,7 +621,6 @@ void PlanService::clear_plan_memo() {
     (void)key;
     std::lock_guard<std::mutex> lk(ep->mu);
     ep->plans.clear();
-    ep->plan_order.clear();
   }
 }
 

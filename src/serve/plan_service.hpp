@@ -35,7 +35,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -60,11 +59,6 @@ struct PlanServiceConfig {
   MacEnergyModel energy = MacEnergyModel::stripes_like();
   AcceleratorConfig accelerator = AcceleratorConfig::stripes_like();
   int weight_bits = 16;  // uniform weight width for the cost models
-  // Upper bound on memoized plans kept per network entry; 0 = unlimited.
-  // When the cap is exceeded the oldest memo is evicted (FIFO) and the
-  // eviction is reported through service_diagnostics() — a long-running
-  // serve process over a churning query stream stays bounded.
-  std::size_t max_plans_per_entry = 0;
 };
 
 // Content-addressed cache key: (network content hash, config digest).
@@ -188,7 +182,6 @@ struct CacheStats {
   std::int64_t profile_waits = 0;
   std::int64_t sigma_waits = 0;
   // Cache lifecycle (see service_diagnostics()).
-  std::int64_t plan_evictions = 0;
   std::int64_t profile_loads = 0;          // bundles accepted by load_profile
   std::int64_t profile_load_rejected = 0;  // bundles rejected (hash mismatch etc.)
   std::int64_t plans_served() const { return plan_misses + plan_hits; }
@@ -230,13 +223,6 @@ class PlanService {
   // Also returns false (benignly) when the profile was already measured.
   bool load_profile(const PlanKey& key, const ProfileBundle& bundle);
 
-  // The inverse of load_profile: packages the cached profile stage as a
-  // persistable/replicable bundle carrying the network content hash (so a
-  // receiving service's load_profile can verify provenance). Requires the
-  // profile to be ready (ensure_profile first); throws otherwise. The
-  // sigma fields are left zero — seeding only consumes models/ranges.
-  ProfileBundle export_profile(const PlanKey& key) const;
-
   // Answers one query: profile and sigma stages from cache (computing them
   // on first need), then the cheap allocate+validate tail. Thread-safe.
   PlanResult plan(const PlanKey& key, const PlanQuery& query);
@@ -264,7 +250,7 @@ class PlanService {
   CacheStats stats() const;
 
   // Service-level cache-lifecycle diagnostics (PipelineStage::kServe):
-  // rejected profile loads, plan-memo evictions. Thread-safe to read via
+  // accepted and rejected profile loads. Thread-safe to read via
   // snapshot(); distinct from the per-entry profile_diagnostics().
   const DiagnosticSink& service_diagnostics() const { return serve_diag_; }
 

@@ -487,7 +487,6 @@ TEST(ObsAcceptance, NinSweepStageAccountingCacheCountersAndTrace) {
   EXPECT_EQ(s.sigma_hits, 8);
   EXPECT_EQ(s.plan_misses, 12);
   EXPECT_EQ(s.plan_hits, 0);
-  EXPECT_EQ(s.plan_evictions, 0);
 
   // The same numbers must be visible through the metrics registry (that is
   // what a serve operator actually scrapes).

@@ -13,19 +13,8 @@
 #include "hw/energy_model.hpp"
 #include "io/table.hpp"
 
-namespace {
 using namespace mupod;
 using namespace mupod::bench;
-
-std::string join_bits(const std::vector<int>& bits) {
-  std::string s;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (i) s += ",";
-    s += std::to_string(bits[i]);
-  }
-  return s;
-}
-}  // namespace
 
 int main() {
   print_header("Table II — AlexNet, two objectives, 1% relative accuracy drop",

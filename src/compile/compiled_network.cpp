@@ -31,8 +31,6 @@ CompiledNetwork::CompiledNetwork(const Network& net, CompiledGraph graph,
       assert(si >= 0 && "compiled step consumes an absorbed node");
       st.inputs.push_back(si);
     }
-    st.relu = n.relu_fused;
-
     if (n.lowered) {
       const Tensor* w = st.layer->weights();
       const Tensor* b = st.layer->bias();
@@ -65,17 +63,6 @@ CompiledNetwork::CompiledNetwork(const Network& net, CompiledGraph graph,
       (void)ok;
       assert(st.lw.type == n.type && "rewrite/lowering storage-type mismatch");
       st.lowered = true;
-      st.in_quantized = n.in_quantized;
-      if (n.quant_store) {
-        st.quant_store = true;
-        const IrNode& cons = graph_.nodes[static_cast<std::size_t>(n.quant_consumer)];
-        st.store_grid = qgrid_for(cons.act_fmt);
-        const QGrid ag = qgrid_for(st.lw.act_fmt);
-        const QGrid wg = qgrid_for(st.lw.w_fmt);
-        // acc_scale / consumer act_step: all powers of two, so the q31
-        // decomposition is exact and the requantize rounds exactly once.
-        st.store_requant = make_requant(ag.step * wg.step / st.store_grid.step);
-      }
     } else if (n.norm_src >= 0) {
       // Float execution keeps the folded norm as a store epilogue —
       // bitwise identical to the separate BatchNormScale pass.
@@ -96,7 +83,8 @@ CompiledNetwork::CompiledNetwork(const Network& net, CompiledGraph graph,
   // Store epilogues, once the steps (and the buffers they point into) sit
   // at their final addresses.
   for (CompiledStep& st : steps_) {
-    st.fusion.relu = st.relu;
+    const IrNode& n = graph_.nodes[static_cast<std::size_t>(st.src)];
+    st.fusion.relu = n.relu_fused;
     if (!st.norm_scale.empty()) {
       st.fusion.scale = st.norm_scale.data();
       st.fusion.shift = st.norm_shift.data();
@@ -111,13 +99,19 @@ CompiledNetwork::CompiledNetwork(const Network& net, CompiledGraph graph,
     b.act_step = ag.step;
     b.act_lo = ag.lo;
     b.act_hi = ag.hi;
-    b.acc_scale = ag.step * wg.step;
-    b.in_quantized = st.in_quantized;
-    b.quant_store = st.quant_store;
-    b.store_requant = st.store_requant;
-    b.store_lo = st.store_grid.lo;
-    b.store_hi = st.store_grid.hi;
-    b.relu = st.relu;
+    b.in_quantized = n.in_quantized;
+    b.ep.scale = ag.step * wg.step;
+    b.ep.relu = n.relu_fused;
+    if (n.quant_store) {
+      // Fused-region output: requantize straight onto the consumer's
+      // grid. acc_scale / consumer act_step are all powers of two, so the
+      // q31 decomposition is exact and the requantize rounds exactly once.
+      const QGrid cg = qgrid_for(graph_.nodes[static_cast<std::size_t>(n.quant_consumer)].act_fmt);
+      b.ep.quant_store = true;
+      b.ep.requant = make_requant(b.ep.scale / cg.step);
+      b.ep.lo = cg.lo;
+      b.ep.hi = cg.hi;
+    }
   }
 }
 
@@ -154,7 +148,7 @@ void run_step(const CompiledStep& st, std::span<const Tensor* const> ins, Tensor
   const Tensor& x = *ins[0];
   if (st.lowered) {
     QLayerBinding b = st.binding;
-    b.act_saturated = sat;
+    b.ep.saturated = sat;
     if (kind == LayerKind::kConv)
       static_cast<const Conv2DLayer&>(*st.layer).forward_integer(b, x, out);
     else

@@ -12,12 +12,13 @@
 //     loops, bitwise identical to the separate layers;
 //   * integer-lowered steps own their quantized operands (norm-folded
 //     where fold-norm fired) and pass a QLayerBinding to
-//     forward_integer: fused ReLU, carrier input (in_quantized skips
-//     quantize-on-load), and cross-layer requantized store (quant_store
-//     writes integers on the consumer's grid). Interior tensors of a
-//     fused region hold carrier integers bit-cast inside the ordinary
-//     float Tensor buffers; their logical (float) shapes are preserved so
-//     downstream output_shape computations are unchanged.
+//     forward_integer: carrier input (in_quantized skips
+//     quantize-on-load) and one prebuilt QGemmEpilogue — fused ReLU, and
+//     the cross-layer requantized store (quant_store writes integers on
+//     the consumer's grid). Interior tensors of a fused region hold
+//     carrier integers bit-cast inside the ordinary float Tensor buffers;
+//     their logical (float) shapes are preserved so downstream
+//     output_shape computations are unchanged.
 //
 // Every other step runs the layer's virtual forward. Step outputs live in
 // the calling thread's ForwardArena (nn/forward_arena.hpp), so a steady
@@ -38,9 +39,9 @@
 #include <vector>
 
 #include "compile/graph_compiler.hpp"
+#include "nn/layers.hpp"
 #include "nn/network.hpp"
 #include "quant/qexec.hpp"
-#include "tensor/qgemm.hpp"
 
 namespace mupod {
 
@@ -50,23 +51,18 @@ struct CompiledStep {
   const Layer* layer = nullptr;  // borrowed from the source network
   std::vector<int> inputs;    // indices into the step list
 
-  // Float-path fusion.
-  bool relu = false;
-  std::vector<float> norm_scale;  // folded norm affine (empty if none)
+  // Folded norm affine of a float step (empty if none).
+  std::vector<float> norm_scale;
   std::vector<float> norm_shift;
 
-  // Integer lowering.
+  // Integer lowering: owned operands (norm-folded weights).
   bool lowered = false;
-  QLayerLowering lw;          // owned operands (norm-folded weights)
-  bool in_quantized = false;
-  bool quant_store = false;
-  QGrid store_grid;           // the consumer's activation grid
-  QRequant store_requant;     // acc_scale / consumer act_step, q31
+  QLayerLowering lw;
 
-  // The store epilogue the step passes to its conv/FC layer, built once
-  // from the fields above (the pointers reach into norm_scale/norm_shift
-  // and lw). `binding` is used when lowered; its act_saturated sink is
-  // set per forward.
+  // What the step passes to its conv/FC layer, built once by the
+  // constructor from the IR node (the pointers reach into
+  // norm_scale/norm_shift and lw): `fusion` on the float path, `binding`
+  // when lowered (its epilogue's saturation sink is set per forward).
   FloatFusion fusion;
   QLayerBinding binding;
 };

@@ -1,21 +1,8 @@
 #include "core/weight_search.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <numeric>
 
 namespace mupod {
-
-void quantize_layer_weights(Network& net, int node, int bits) {
-  Tensor* w = net.layer(node).mutable_weights();
-  if (w == nullptr) return;
-  FixedPointFormat fmt;
-  fmt.integer_bits = FixedPointFormat::integer_bits_for_range(w->max_abs());
-  fmt.fraction_bits = bits - fmt.integer_bits;
-  // Biases stay wide: accelerators feed them into the (wide) accumulator,
-  // so weight-format saturation must not apply to them.
-  quantize_tensor(*w, fmt);
-}
 
 WeightSearchResult search_weight_bitwidth(
     Network& net, const AnalysisHarness& harness,
@@ -61,62 +48,6 @@ WeightSearchResult search_weight_bitwidth(
   }
   res.bits = best;
   res.accuracy = best_acc;
-  return res;
-}
-
-PerLayerWeightSearchResult search_weight_bitwidth_per_layer(
-    Network& net, const AnalysisHarness& harness,
-    const std::unordered_map<int, InjectionSpec>& input_inject,
-    const std::vector<std::int64_t>& rho, const WeightSearchConfig& cfg) {
-  assert(&net == &harness.net());
-  const auto& analyzed = harness.analyzed();
-  assert(rho.size() == analyzed.size());
-  const double threshold = (1.0 - cfg.relative_accuracy_drop) * harness.float_accuracy();
-
-  PerLayerWeightSearchResult res;
-  const Network::WeightSnapshot snap = net.snapshot_weights();
-
-  // Start from the uniform answer.
-  const WeightSearchResult uniform = search_weight_bitwidth(net, harness, input_inject, cfg);
-  res.evaluations = uniform.evaluations;
-  res.bits.assign(analyzed.size(), uniform.bits);
-  res.accuracy = uniform.accuracy;
-
-  const auto accuracy_with = [&](const std::vector<int>& bits) {
-    for (std::size_t k = 0; k < analyzed.size(); ++k)
-      quantize_layer_weights(net, analyzed[k], bits[k]);
-    const double acc = harness.accuracy_full_forward(input_inject);
-    net.restore_weights(snap);
-    ++res.evaluations;
-    return acc;
-  };
-
-  // Greedy shaving: repeatedly try removing one bit from the layer whose
-  // weight-bit cost (rho * bits) is largest among the still-shavable ones.
-  std::vector<bool> frozen(analyzed.size(), false);
-  for (int round = 0; round < static_cast<int>(analyzed.size()) * (cfg.max_bits - cfg.min_bits);
-       ++round) {
-    int pick = -1;
-    std::int64_t best_mass = -1;
-    for (std::size_t k = 0; k < analyzed.size(); ++k) {
-      if (frozen[k] || res.bits[k] <= cfg.min_bits) continue;
-      const std::int64_t mass = rho[k] * res.bits[k];
-      if (mass > best_mass) {
-        best_mass = mass;
-        pick = static_cast<int>(k);
-      }
-    }
-    if (pick < 0) break;
-    std::vector<int> trial = res.bits;
-    --trial[static_cast<std::size_t>(pick)];
-    const double acc = accuracy_with(trial);
-    if (acc >= threshold) {
-      res.bits = std::move(trial);
-      res.accuracy = acc;
-    } else {
-      frozen[static_cast<std::size_t>(pick)] = true;
-    }
-  }
   return res;
 }
 

@@ -30,23 +30,4 @@ WeightSearchResult search_weight_bitwidth(
     const std::unordered_map<int, InjectionSpec>& input_inject,
     const WeightSearchConfig& cfg = {});
 
-struct PerLayerWeightSearchResult {
-  std::vector<int> bits;   // per analyzed layer
-  double accuracy = 0.0;
-  int evaluations = 0;
-};
-
-// Extension beyond the paper (Loom-style): per-layer weight bitwidths.
-// Starts from the uniform search result, then greedily shaves one bit at
-// a time from the layer with the most weight-bit mass (weighted by
-// `rho`, e.g. #MACs) as long as the accuracy constraint holds.
-PerLayerWeightSearchResult search_weight_bitwidth_per_layer(
-    Network& net, const AnalysisHarness& harness,
-    const std::unordered_map<int, InjectionSpec>& input_inject,
-    const std::vector<std::int64_t>& rho, const WeightSearchConfig& cfg = {});
-
-// Quantizes the weights of one analyzed layer to `bits` total bits (helper
-// shared by the searches; integer part from max |w| of that layer).
-void quantize_layer_weights(Network& net, int node, int bits);
-
 }  // namespace mupod

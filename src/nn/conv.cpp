@@ -99,35 +99,11 @@ void im2col_group(const T* ximg, int icg, int H, int W, int KH, int KW, int stri
   }
 }
 
-// Quantizes a whole activation tensor into the calling thread's qact
-// arena slot (saturating round-to-nearest onto the plan's I.F grid).
-// Chunk-parallel and deterministic: chunks write disjoint ranges and the
-// saturation total is order-independent.
-template <typename T>
-const T* quantize_activations(const QLayerBinding& q, const float* xdata, std::int64_t numel) {
-  T* xq = reinterpret_cast<T*>(
-      GemmScratch::local().qact(static_cast<std::size_t>(numel) * sizeof(T)));
-  std::atomic<std::int64_t> sat{0};
-  const auto body = [&](std::int64_t b, std::int64_t e) {
-    const std::int64_t s =
-        quantize_to(q.type, xdata + b, e - b, q.act_step, q.act_lo, q.act_hi, xq + b);
-    if (s != 0) sat.fetch_add(s, std::memory_order_relaxed);
-  };
-  if (numel >= (1 << 14))
-    parallel_for_chunked(0, numel, body);
-  else
-    body(0, numel);
-  const std::int64_t total = sat.load(std::memory_order_relaxed);
-  if (total != 0 && q.act_saturated != nullptr)
-    q.act_saturated->fetch_add(total, std::memory_order_relaxed);
-  return xq;
-}
-
 // Integer conv: quantize-on-load once, then per (image, group) an integer
 // im2col feeds one qgemm whose epilogue adds the accumulator-scale bias
-// and dequantizes on store. Every conv shape takes this route in integer
-// mode (no direct-path crossover: the MACs must run in integer
-// arithmetic, and a depthwise qgemm is still exact, just not optimal).
+// and stores. Every conv shape takes this route in integer mode (no
+// direct-path crossover: the MACs must run in integer arithmetic, and a
+// depthwise qgemm is still exact, just not optimal).
 template <typename T>
 void conv_forward_integer(const Conv2DLayer::Config& cfg, const QLayerBinding& q,
                           const Tensor& x, Tensor& out) {
@@ -144,11 +120,7 @@ void conv_forward_integer(const Conv2DLayer::Config& cfg, const QLayerBinding& q
   const std::int64_t spatial = static_cast<std::int64_t>(OH) * OW;
   const bool is_pointwise = KH == 1 && KW == 1 && stride == 1 && pad == 0;
 
-  // Fused-region input: the producer already stored `type` integers on
-  // this layer's activation grid (bit-cast in the float buffer), so the
-  // quantize-on-load pass — and its memory traffic — disappears.
-  const T* xq = q.in_quantized ? reinterpret_cast<const T*>(x.data())
-                               : quantize_activations<T>(q, x.data(), x.numel());
+  const T* xq = static_cast<const T*>(quantize_on_load(q, x));
   const T* wq = static_cast<const T*>(q.weights);
   float* ydata = out.data();
 
@@ -169,21 +141,12 @@ void conv_forward_integer(const Conv2DLayer::Config& cfg, const QLayerBinding& q
         bmat = col;
       }
       const std::int64_t y_off = n * y_img + static_cast<std::int64_t>(g) * ocg * spatial;
-      QGemmEpilogue ep;
+      QGemmEpilogue ep = q.ep;
       ep.bias_row = q.bias != nullptr ? q.bias + static_cast<std::int64_t>(g) * ocg : nullptr;
-      ep.scale = q.acc_scale;
-      ep.relu = q.relu;
-      void* yg = ydata + y_off;
-      if (q.quant_store) {
-        // Fused-region output: requantize straight onto the consumer's
-        // grid, skipping the dequantize/quantize round trip.
-        ep.quant_store = true;
-        ep.requant = q.store_requant;
-        ep.lo = q.store_lo;
-        ep.hi = q.store_hi;
-        ep.saturated = q.act_saturated;
-        yg = reinterpret_cast<T*>(ydata) + y_off;
-      }
+      // A requantizing store writes `type` integers (the fused region's
+      // carrier), a dequantizing one floats.
+      void* yg = ep.quant_store ? static_cast<void*>(reinterpret_cast<T*>(ydata) + y_off)
+                                : static_cast<void*>(ydata + y_off);
       qgemm(q.type, ocg, spatial, k_dim, wq + static_cast<std::int64_t>(g) * ocg * k_dim, k_dim,
             bmat, spatial, yg, spatial, ep);
     }
@@ -195,6 +158,27 @@ void conv_forward_integer(const Conv2DLayer::Config& cfg, const QLayerBinding& q
 }
 
 }  // namespace
+
+const void* quantize_on_load(const QLayerBinding& q, const Tensor& x) {
+  if (q.in_quantized) return x.data();
+  const std::int64_t numel = x.numel();
+  const std::size_t bytes = qtype_bytes(q.type);
+  unsigned char* xq = GemmScratch::local().qact(static_cast<std::size_t>(numel) * bytes);
+  std::atomic<std::int64_t> sat{0};
+  const auto body = [&](std::int64_t b, std::int64_t e) {
+    const std::int64_t s = quantize_to(q.type, x.data() + b, e - b, q.act_step, q.act_lo,
+                                       q.act_hi, xq + static_cast<std::size_t>(b) * bytes);
+    if (s != 0) sat.fetch_add(s, std::memory_order_relaxed);
+  };
+  if (numel >= (1 << 14))
+    parallel_for_chunked(0, numel, body);
+  else
+    body(0, numel);
+  const std::int64_t total = sat.load(std::memory_order_relaxed);
+  if (total != 0 && q.ep.saturated != nullptr)
+    q.ep.saturated->fetch_add(total, std::memory_order_relaxed);
+  return xq;
+}
 
 void Conv2DLayer::forward_integer(const QLayerBinding& q, const Tensor& x, Tensor& out) const {
   switch (q.type) {

@@ -1,10 +1,8 @@
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "nn/layers.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/parallel.hpp"
 #include "tensor/qgemm.hpp"
 
 namespace mupod {
@@ -26,79 +24,23 @@ Shape InnerProductLayer::output_shape(std::span<const Shape> in) const {
   return Shape({s.dim(0), out_features_});
 }
 
-namespace {
-
 // Integer inner product: quantize-on-load, one qgemm over the batch in
-// the same orientation as the float path, dequantize-on-store in the
-// epilogue. The N==1 transposed product puts the bias per output row;
-// the batched product puts it per output column.
-template <typename T>
-void ip_forward_integer(const QLayerBinding& q, const Tensor& x, Tensor& out,
-                        int in_f, int out_f) {
-  const int N = x.shape().dim(0);
-  const std::int64_t numel = x.numel();
-  const T* xq;
-  if (q.in_quantized) {
-    // Fused-region input: the producer already stored `type` integers on
-    // this layer's grid — no quantize-on-load pass.
-    xq = reinterpret_cast<const T*>(x.data());
-  } else {
-    T* buf = reinterpret_cast<T*>(
-        GemmScratch::local().qact(static_cast<std::size_t>(numel) * sizeof(T)));
-    std::atomic<std::int64_t> sat{0};
-    const auto body = [&](std::int64_t b, std::int64_t e) {
-      const std::int64_t s =
-          quantize_to(q.type, x.data() + b, e - b, q.act_step, q.act_lo, q.act_hi, buf + b);
-      if (s != 0) sat.fetch_add(s, std::memory_order_relaxed);
-    };
-    if (numel >= (1 << 14))
-      parallel_for_chunked(0, numel, body);
-    else
-      body(0, numel);
-    const std::int64_t total = sat.load(std::memory_order_relaxed);
-    if (total != 0 && q.act_saturated != nullptr)
-      q.act_saturated->fetch_add(total, std::memory_order_relaxed);
-    xq = buf;
-  }
-
-  const T* wq = static_cast<const T*>(q.weights);
-  QGemmEpilogue ep;
-  ep.scale = q.acc_scale;
-  ep.relu = q.relu;
-  void* y = out.data();
-  if (q.quant_store) {
-    // Fused-region output: single cross-layer requantize in the store.
-    ep.quant_store = true;
-    ep.requant = q.store_requant;
-    ep.lo = q.store_lo;
-    ep.hi = q.store_hi;
-    ep.saturated = q.act_saturated;
-    y = reinterpret_cast<T*>(out.data());
-  }
-  if (N == 1) {
-    ep.bias_row = q.bias;
-    qgemm(q.type, out_f, 1, in_f, wq, in_f, xq, 1, y, 1, ep);
-  } else {
-    ep.bias_col = q.bias;
-    qgemm(q.type, N, out_f, in_f, xq, in_f, wq, in_f, y, out_f, ep,
-          /*trans_b=*/true);
-  }
-}
-
-}  // namespace
-
+// the same orientation as the float path, the step's store epilogue. The
+// N==1 transposed product puts the bias per output row; the batched
+// product puts it per output column.
 void InnerProductLayer::forward_integer(const QLayerBinding& q, const Tensor& x,
                                         Tensor& out) const {
-  switch (q.type) {
-    case QType::kInt8:
-      ip_forward_integer<std::int8_t>(q, x, out, in_features_, out_features_);
-      break;
-    case QType::kInt16:
-      ip_forward_integer<std::int16_t>(q, x, out, in_features_, out_features_);
-      break;
-    case QType::kInt32:
-      ip_forward_integer<std::int32_t>(q, x, out, in_features_, out_features_);
-      break;
+  const int N = x.shape().dim(0);
+  const int in_f = in_features_, out_f = out_features_;
+  const void* xq = quantize_on_load(q, x);
+  QGemmEpilogue ep = q.ep;
+  if (N == 1) {
+    ep.bias_row = q.bias;
+    qgemm(q.type, out_f, 1, in_f, q.weights, in_f, xq, 1, out.data(), 1, ep);
+  } else {
+    ep.bias_col = q.bias;
+    qgemm(q.type, N, out_f, in_f, xq, in_f, q.weights, in_f, out.data(), out_f, ep,
+          /*trans_b=*/true);
   }
 }
 

@@ -6,15 +6,56 @@
 #include <vector>
 
 #include "nn/layer.hpp"
+#include "tensor/qgemm.hpp"
 
 namespace mupod {
 
-// Store epilogues of the dot-product layers (tensor/qgemm.hpp). The
-// compiled executor (compile/compiled_network.hpp) passes them to the
-// explicit entry points below; the virtual forward runs the float path
-// with no fusion.
-struct QLayerBinding;
-struct FloatFusion;
+// Explicit entry points of the dot-product layers (Conv2DLayer,
+// InnerProductLayer). The compiled executor (compile/compiled_network.hpp)
+// builds one of these per conv/FC step, once, and passes it on every
+// forward; the virtual forward runs the float path with no fusion.
+
+// Float-path store epilogue; the default is no fusion. When scale/shift
+// are non-null they hold one entry per output channel and apply the
+// folded BatchNormScale affine (x*a + b, the exact expression of
+// BatchNormScaleLayer::forward) ahead of the optional ReLU — so the fused
+// store is bitwise identical to running the separate layers.
+struct FloatFusion {
+  bool relu = false;
+  const float* scale = nullptr;
+  const float* shift = nullptr;
+};
+
+// Integer operands, quantize-on-load grid and store epilogue of one
+// lowered step.
+struct QLayerBinding {
+  QType type = QType::kInt16;
+  // Quantized weights in the layer's native layout ((OC, k_dim) rows for
+  // conv OIHW, (out, in) for inner product).
+  const void* weights = nullptr;
+  // Accumulator-scale bias per output channel; null when the layer has none.
+  const std::int64_t* bias = nullptr;
+  // Quantize-on-load onto the plan's I.F activation grid — skipped when
+  // in_quantized: the input tensor already holds `type` integers on this
+  // grid (a fused region's carrier, bit-cast in the float Tensor buffer).
+  double act_step = 1.0;
+  std::int32_t act_lo = 0;
+  std::int32_t act_hi = 0;
+  bool in_quantized = false;
+  // The store epilogue: dequantize (scale = act_step * weight_step) or,
+  // inside a fused region, requantize onto the consumer's grid; fused
+  // ReLU. Layers set only the bias pointer per qgemm call. `saturated` is
+  // the step's clip sink, for quantize-on-load clips too; the executor
+  // points it at its per-forward counter.
+  QGemmEpilogue ep;
+};
+
+// The integer input of a lowered step: x's own buffer when it already
+// holds carrier integers (q.in_quantized), else x quantized onto q's grid
+// into the calling thread's qact arena slot. Chunk-parallel and
+// deterministic: chunks write disjoint ranges and the clip total added to
+// q.ep.saturated is order-independent.
+const void* quantize_on_load(const QLayerBinding& q, const Tensor& x);
 
 // ---------------------------------------------------------------------------
 // Input placeholder. Holds the per-image (C, H, W) shape.

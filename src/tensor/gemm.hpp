@@ -72,7 +72,7 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
 //                        the calling thread and read by tile tasks);
 //   col                  the im2col column buffer of Conv2DLayer;
 //   qa / qb / qcol /     byte-granular slots for the integer path
-//   qact                 (tensor/qgemm.cpp): packed int A strips, packed
+//   qact                 (tensor/qgemm.cpp, nn/): packed int A strips, packed
 //                        int B panels, the integer im2col buffer, and the
 //                        quantized copy of a layer's input activations
 //                        (qb/qact are written by the calling thread and

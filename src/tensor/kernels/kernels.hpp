@@ -69,9 +69,13 @@ void set_kernel_isa(KernelIsa isa);
 // ---------------------------------------------------------------------------
 // Registry
 //
-// Fixed micro-tile geometry shared by every integer kernel (the scalar
-// qgemm reference uses the same 4 x 16 tile, so tile-task ownership — and
-// therefore determinism — is ISA-independent).
+// Fixed micro-tile geometry shared by every integer kernel and the one
+// qgemm tile driver (every packed layout, the scalar reference included,
+// uses the same 4 x 16 tile, so tile-task ownership — and therefore
+// determinism — is ISA-independent). Integer accumulators are wider than
+// floats (int32 for int8 operands, int64 otherwise), so the tile is kept
+// at 4 x 16: the int32 case fits the vector register file on SSE2 and the
+// int64 case stays inside one L1 line set.
 inline constexpr int kQMr = 4;
 inline constexpr int kQNr = 16;
 // Upper bounds on the float micro-tile geometry across ISAs (the generic
@@ -113,7 +117,8 @@ struct KernelRegistry {
   void (*sgemm_micro_mul_add)(int kc, const float* ap, const float* bp, float* c,
                               std::int64_t ldc, float beta);
 
-  // Integer micro-kernels; null => qgemm.cpp uses its generic C++ path.
+  // Integer micro-kernels; null => qgemm.cpp's tile driver runs its
+  // PLAIN layout (generic C++ micro-kernel).
   // acc is the kQMr x kQNr int32/int64 accumulator tile, accumulated
   // in-place (callers zero- or compensation-initialize it).
   void (*qmicro8)(std::int64_t k_pairs, const std::int32_t* ap, const std::int16_t* bp,

@@ -22,7 +22,7 @@
 //    compensation < 2^31: no wrap), so it is exact whenever invoked.
 //  * qmicro16 (k-pair): vpmaddwd pair sums are exact in int32 except the
 //    single corner where both pairs are (-32768)*(-32768); qgemm.cpp
-//    scans B for -32768 and falls back to the generic path, so the corner
+//    scans B for -32768 and falls back to the plain layout, so the corner
 //    is unreachable here. Pair sums are widened to int64 before
 //    accumulation (matches the scalar int64 accumulator bit-for-bit).
 #include "tensor/kernels/kernels_internal.hpp"

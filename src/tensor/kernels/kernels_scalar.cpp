@@ -4,7 +4,9 @@
 // compile-time tile sizes so GCC/Clang auto-vectorize under the
 // project-default flags; this entry is the correctness reference and the
 // fallback ISA on every target. The integer function pointers are null:
-// qgemm.cpp's generic templates (its own scalar reference) handle those.
+// qgemm.cpp's tile driver then runs its PLAIN layout (a generic C++
+// micro-kernel, the integer scalar reference), and the quantize-on-load
+// and GEMV entries fall back to its scalar loops.
 #include "tensor/kernels/kernels_internal.hpp"
 
 namespace mupod {

@@ -14,17 +14,6 @@
 namespace mupod {
 namespace {
 
-// Micro-tile geometry. Integer accumulators are wider than floats (int32
-// for int8 operands, int64 otherwise), so the tile is kept at 4 x 16: the
-// int32 case fits the vector register file on SSE2 and the int64 case
-// stays inside one L1 line set. Unlike the float kernel there are no
-// KC/MC/NC cache blocks: a tile task owns its output tile for the FULL k
-// extent (the requantize epilogue needs the complete accumulator), packing
-// its 4-row A strip once per row of tiles and streaming the shared packed
-// B panel.
-constexpr int QMR = 4;
-constexpr int QNR = 16;
-
 // Same pool-dispatch crossover as the float GEMM.
 constexpr std::int64_t kSerialMacCutoff = 1 << 16;
 
@@ -65,58 +54,10 @@ void report_requant_sat(std::int64_t total_sat, const QGemmEpilogue& ep) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Packing (same layout discipline as the float kernel: A strips
-// r-contiguous per k, B strips c-contiguous per k, edges zero-padded so
-// the micro-kernel never branches on tile size).
-
 template <typename T>
-void pack_a_strip(const T* a, std::int64_t lda, std::int64_t i0, int mr_cur, std::int64_t k,
-                  T* ap) {
-  const T* src = a + i0 * lda;
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    int r = 0;
-    for (; r < mr_cur; ++r) ap[kk * QMR + r] = src[r * lda + kk];
-    for (; r < QMR; ++r) ap[kk * QMR + r] = T(0);
-  }
-}
-
-template <typename T>
-void pack_b_strip(const T* b, std::int64_t ldb, bool trans_b, std::int64_t j0, int nr_cur,
-                  std::int64_t k, T* bp) {
-  if (!trans_b) {
-    const T* src = b + j0;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      int c = 0;
-      for (; c < nr_cur; ++c) bp[kk * QNR + c] = src[kk * ldb + c];
-      for (; c < QNR; ++c) bp[kk * QNR + c] = T(0);
-    }
-    return;
-  }
-  for (int c = 0; c < nr_cur; ++c) {
-    const T* src = b + (j0 + c) * ldb;
-    for (std::int64_t kk = 0; kk < k; ++kk) bp[kk * QNR + c] = src[kk];
-  }
-  for (int c = nr_cur; c < QNR; ++c)
-    for (std::int64_t kk = 0; kk < k; ++kk) bp[kk * QNR + c] = T(0);
-}
-
-// ---------------------------------------------------------------------------
-// Micro-kernel: full QMR x QNR register tile over the whole k extent,
-// fixed ascending order (the determinism contract; for integers the order
-// is also value-irrelevant — addition is exact and associative).
-
-template <typename T, typename Acc>
-void qmicro(std::int64_t k, const T* __restrict ap, const T* __restrict bp,
-            Acc acc[QMR][QNR]) {
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const T* __restrict ak = ap + static_cast<std::ptrdiff_t>(kk) * QMR;
-    const T* __restrict bk = bp + static_cast<std::ptrdiff_t>(kk) * QNR;
-    for (int r = 0; r < QMR; ++r) {
-      const Acc av = static_cast<Acc>(ak[r]);
-      for (int cc = 0; cc < QNR; ++cc) acc[r][cc] += av * static_cast<Acc>(bk[cc]);
-    }
-  }
+inline T load_b_elem(const T* b, std::int64_t ldb, bool trans_b, std::int64_t kk,
+                     std::int64_t j) {
+  return trans_b ? b[j * ldb + kk] : b[kk * ldb + j];
 }
 
 // Epilogue: bias in accumulator scale, then either dequantized float
@@ -124,7 +65,7 @@ void qmicro(std::int64_t k, const T* __restrict ap, const T* __restrict bp,
 // saturation count (summed per task, added to the sink once — keeps the
 // total deterministic).
 template <typename T, typename Acc>
-std::int64_t store_tile(const Acc acc[QMR][QNR], std::int64_t i0, std::int64_t j0, int mr_cur,
+std::int64_t store_tile(const Acc acc[kQMr][kQNr], std::int64_t i0, std::int64_t j0, int mr_cur,
                         int nr_cur, void* c, std::int64_t ldc, const QGemmEpilogue& ep) {
   std::int64_t sat = 0;
   for (int r = 0; r < mr_cur; ++r) {
@@ -156,26 +97,250 @@ std::int64_t store_tile(const Acc acc[QMR][QNR], std::int64_t i0, std::int64_t j
 }
 
 // ---------------------------------------------------------------------------
-// Driver
+// Packed layouts. A layout fixes what one k-UNIT of a kQMr-row A strip
+// and a kQNr-column B strip holds, and which micro-kernel consumes them;
+// the tile driver below is the same for all of them. Each supplies:
+//   Elem / Acc      operand type and accumulator type;
+//   APack / BPack   strip element types: an A unit is kQMr APacks, a B
+//                   unit kUnitK * kQNr BPacks;
+//   kUnitK          k values per unit (odd tails are padded);
+//   kColsums        whether pack_b also writes the strip's column sums;
+//   pack_a/pack_b   the packers (edges padded so the micro-kernel never
+//                   branches on tile size);
+//   init            the accumulator tile before the micro-kernel;
+//   micro           accumulates `units` k-units into the tile.
+// Byte-exact definitions of the SIMD layouts: kernels.hpp and
+// docs/method.md §16. Every layout computes the same modular-integer
+// results, so which one runs never changes an output byte — the property
+// battery asserts this across ISAs.
 
-template <typename T, typename Acc>
-void qgemm_impl(std::int64_t m, std::int64_t n, std::int64_t k,
-                const T* a, std::int64_t lda, const T* b, std::int64_t ldb,
-                void* c, std::int64_t ldc, const QGemmEpilogue& ep, bool trans_b) {
-  const std::int64_t n_ir = ceil_div(m, QMR);
-  const std::int64_t n_js = ceil_div(n, QNR);
+// PLAIN: one k per unit, strips hold the operand type itself; the generic
+// C++ micro-kernel accumulates in fixed ascending k order. The scalar ISA,
+// int32 operands, and the fallback for inputs no SIMD kernel takes.
+template <typename T, typename AccT>
+struct PlainLayout {
+  using Elem = T;
+  using Acc = AccT;
+  using APack = T;
+  using BPack = T;
+  static constexpr int kUnitK = 1;
+  static constexpr bool kColsums = false;
+
+  static void pack_a(const T* a, std::int64_t lda, std::int64_t i0, int mr_cur, std::int64_t k,
+                     T* ap) {
+    const T* src = a + i0 * lda;
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      int r = 0;
+      for (; r < mr_cur; ++r) ap[kk * kQMr + r] = src[r * lda + kk];
+      for (; r < kQMr; ++r) ap[kk * kQMr + r] = T(0);
+    }
+  }
+
+  static void pack_b(const T* b, std::int64_t ldb, bool trans_b, std::int64_t j0, int nr_cur,
+                     std::int64_t k, T* bp, std::int32_t* /*colsum*/) {
+    if (!trans_b) {
+      const T* src = b + j0;
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        int c = 0;
+        for (; c < nr_cur; ++c) bp[kk * kQNr + c] = src[kk * ldb + c];
+        for (; c < kQNr; ++c) bp[kk * kQNr + c] = T(0);
+      }
+      return;
+    }
+    for (int c = 0; c < nr_cur; ++c) {
+      const T* src = b + (j0 + c) * ldb;
+      for (std::int64_t kk = 0; kk < k; ++kk) bp[kk * kQNr + c] = src[kk];
+    }
+    for (int c = nr_cur; c < kQNr; ++c)
+      for (std::int64_t kk = 0; kk < k; ++kk) bp[kk * kQNr + c] = T(0);
+  }
+
+  static void init(Acc acc[kQMr][kQNr], const std::int32_t* /*colsum*/) {
+    std::fill_n(&acc[0][0], kQMr * kQNr, Acc(0));
+  }
+
+  void micro(std::int64_t k, const T* __restrict ap, const T* __restrict bp,
+             Acc acc[kQMr][kQNr]) const {
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const T* __restrict ak = ap + static_cast<std::ptrdiff_t>(kk) * kQMr;
+      const T* __restrict bk = bp + static_cast<std::ptrdiff_t>(kk) * kQNr;
+      for (int r = 0; r < kQMr; ++r) {
+        const Acc av = static_cast<Acc>(ak[r]);
+        for (int cc = 0; cc < kQNr; ++cc) acc[r][cc] += av * static_cast<Acc>(bk[cc]);
+      }
+    }
+  }
+};
+
+// k-PAIR (qmicro8 / qmicro16, exact for all inputs but an int16 B holding
+// -32768). A pairs go into int32s (two int16 halves, low = even k); B
+// pairs are interleaved int16 per column. Odd-k and edge padding is zero,
+// which contributes nothing to any dot product.
+template <typename T, typename AccT>
+struct PairLayout {
+  using Elem = T;
+  using Acc = AccT;
+  using APack = std::int32_t;
+  using BPack = std::int16_t;
+  static constexpr int kUnitK = 2;
+  static constexpr bool kColsums = false;
+
+  void (*kernel)(std::int64_t, const std::int32_t*, const std::int16_t*, Acc*);
+
+  static void pack_a(const T* a, std::int64_t lda, std::int64_t i0, int mr_cur, std::int64_t k,
+                     std::int32_t* ap) {
+    const std::int64_t kp = (k + 1) / 2;
+    for (std::int64_t p = 0; p < kp; ++p) {
+      for (int r = 0; r < kQMr; ++r) {
+        std::int16_t lo = 0, hi = 0;
+        if (r < mr_cur) {
+          const T* row = a + (i0 + r) * lda;
+          lo = static_cast<std::int16_t>(row[2 * p]);
+          if (2 * p + 1 < k) hi = static_cast<std::int16_t>(row[2 * p + 1]);
+        }
+        ap[p * kQMr + r] =
+            static_cast<std::int32_t>(static_cast<std::uint16_t>(lo) |
+                                      (static_cast<std::uint32_t>(static_cast<std::uint16_t>(hi))
+                                       << 16));
+      }
+    }
+  }
+
+  static void pack_b(const T* b, std::int64_t ldb, bool trans_b, std::int64_t j0, int nr_cur,
+                     std::int64_t k, std::int16_t* bp, std::int32_t* /*colsum*/) {
+    const std::int64_t kp = (k + 1) / 2;
+    for (std::int64_t p = 0; p < kp; ++p) {
+      std::int16_t* dst = bp + p * 2 * kQNr;
+      for (int c = 0; c < kQNr; ++c) {
+        std::int16_t e0 = 0, e1 = 0;
+        if (c < nr_cur) {
+          e0 = static_cast<std::int16_t>(load_b_elem(b, ldb, trans_b, 2 * p, j0 + c));
+          if (2 * p + 1 < k)
+            e1 = static_cast<std::int16_t>(load_b_elem(b, ldb, trans_b, 2 * p + 1, j0 + c));
+        }
+        dst[2 * c] = e0;
+        dst[2 * c + 1] = e1;
+      }
+    }
+  }
+
+  static void init(Acc acc[kQMr][kQNr], const std::int32_t* /*colsum*/) {
+    std::fill_n(&acc[0][0], kQMr * kQNr, Acc(0));
+  }
+
+  void micro(std::int64_t kp, const std::int32_t* ap, const std::int16_t* bp,
+             Acc acc[kQMr][kQNr]) const {
+    kernel(kp, ap, bp, &acc[0][0]);
+  }
+};
+
+// k-QUAD (qmicro8_maddubs, int8 only, legal when every |b| <= 64 and
+// k <= 2^16). A bytes carry the +128 offset (the u8 side of vpmaddubsw);
+// padding is 128 == offset-domain zero. B bytes are plain int8,
+// zero-padded; colsum[c] accumulates the strip's true column sums, and the
+// accumulator starts at -128 * colsum so the offset (padded rows included)
+// cancels exactly.
+struct QuadLayout {
+  using Elem = std::int8_t;
+  using Acc = std::int32_t;
+  using APack = std::int32_t;
+  using BPack = std::int8_t;
+  static constexpr int kUnitK = 4;
+  static constexpr bool kColsums = true;
+
+  void (*kernel)(std::int64_t, const std::int32_t*, const std::int8_t*, std::int32_t*);
+
+  static void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t i0, int mr_cur,
+                     std::int64_t k, std::int32_t* ap) {
+    const std::int64_t kq = (k + 3) / 4;
+    std::uint8_t* bytes = reinterpret_cast<std::uint8_t*>(ap);
+    for (std::int64_t q = 0; q < kq; ++q) {
+      for (int r = 0; r < kQMr; ++r) {
+        std::uint8_t* dst = bytes + (q * kQMr + r) * 4;
+        for (int t = 0; t < 4; ++t) {
+          const std::int64_t kk = 4 * q + t;
+          std::uint8_t v = 128;
+          if (r < mr_cur && kk < k)
+            v = static_cast<std::uint8_t>(static_cast<std::int32_t>(a[(i0 + r) * lda + kk]) + 128);
+          dst[t] = v;
+        }
+      }
+    }
+  }
+
+  static void pack_b(const std::int8_t* b, std::int64_t ldb, bool trans_b, std::int64_t j0,
+                     int nr_cur, std::int64_t k, std::int8_t* bp, std::int32_t* colsum) {
+    const std::int64_t kq = (k + 3) / 4;
+    for (int c = 0; c < kQNr; ++c) colsum[c] = 0;
+    for (std::int64_t q = 0; q < kq; ++q) {
+      std::int8_t* dst = bp + q * 4 * kQNr;
+      for (int c = 0; c < kQNr; ++c) {
+        for (int t = 0; t < 4; ++t) {
+          const std::int64_t kk = 4 * q + t;
+          std::int8_t v = 0;
+          if (c < nr_cur && kk < k) {
+            v = load_b_elem(b, ldb, trans_b, kk, j0 + c);
+            colsum[c] += v;
+          }
+          dst[c * 4 + t] = v;
+        }
+      }
+    }
+  }
+
+  static void init(Acc acc[kQMr][kQNr], const std::int32_t* colsum) {
+    for (int r = 0; r < kQMr; ++r)
+      for (int cc = 0; cc < kQNr; ++cc) acc[r][cc] = -128 * colsum[cc];
+  }
+
+  void micro(std::int64_t kq, const std::int32_t* ap, const std::int8_t* bp,
+             Acc acc[kQMr][kQNr]) const {
+    kernel(kq, ap, bp, &acc[0][0]);
+  }
+};
+
+// ---------------------------------------------------------------------------
+// The tile driver, one for every layout. Unlike the float GEMM there are
+// no KC/MC/NC cache blocks: a tile task owns its kQMr x kQNr output tile
+// for the FULL k extent (the requantize epilogue needs the complete
+// accumulator) and touches C exactly once, in store_tile. All of B is
+// packed once into the calling thread's arena (strip-major, full-k
+// strips, column sums behind them); tasks walk the tiles row-of-tiles
+// major, so a contiguous chunk packs each A strip once and reuses it
+// across its run of B strips. Integer addition is exact and associative,
+// so the result is independent of worker count and chunking.
+template <typename L>
+void qgemm_tiles(const L& layout, std::int64_t m, std::int64_t n, std::int64_t k,
+                 const typename L::Elem* a, std::int64_t lda, const typename L::Elem* b,
+                 std::int64_t ldb, void* c, std::int64_t ldc, const QGemmEpilogue& ep,
+                 bool trans_b) {
+  using APack = typename L::APack;
+  using BPack = typename L::BPack;
+  using Acc = typename L::Acc;
+  const std::int64_t units = ceil_div(k, L::kUnitK);
+  const std::int64_t b_strip = units * L::kUnitK * kQNr;  // BPacks per packed B strip
+  const std::int64_t n_ir = ceil_div(m, kQMr);
+  const std::int64_t n_js = ceil_div(n, kQNr);
   const bool par = 2 * m * n * std::max<std::int64_t>(k, 1) >= kSerialMacCutoff;
 
-  // Pack ALL of B once into the calling thread's arena (strip-major,
-  // full-k strips); tile tasks only read it.
-  T* bp = reinterpret_cast<T*>(
-      GemmScratch::local().qb(static_cast<std::size_t>(n_js * std::max<std::int64_t>(k, 1)) *
-                              QNR * sizeof(T)));
+  // One arena block: the packed strips, then (kColsums) the per-strip
+  // column sums. Sized for at least one unit so k == 0 (bias-only
+  // stores) still gets valid pointers.
+  const std::size_t strips_bytes = static_cast<std::size_t>(
+      n_js * std::max<std::int64_t>(units, 1) * L::kUnitK * kQNr) * sizeof(BPack);
+  unsigned char* raw = GemmScratch::local().qb(
+      strips_bytes + (L::kColsums ? static_cast<std::size_t>(n_js) * kQNr * sizeof(std::int32_t)
+                                  : 0));
+  BPack* bp = reinterpret_cast<BPack*>(raw);
+  const auto colsum = [&](std::int64_t js) {
+    return L::kColsums ? reinterpret_cast<std::int32_t*>(raw + strips_bytes) + js * kQNr
+                       : nullptr;
+  };
   const auto pack_b_range = [&](std::int64_t sb, std::int64_t se) {
     for (std::int64_t js = sb; js < se; ++js) {
-      const std::int64_t j0 = js * QNR;
-      const int nr_cur = static_cast<int>(std::min<std::int64_t>(QNR, n - j0));
-      pack_b_strip(b, ldb, trans_b, j0, nr_cur, k, bp + js * k * QNR);
+      const std::int64_t j0 = js * kQNr;
+      const int nr_cur = static_cast<int>(std::min<std::int64_t>(kQNr, n - j0));
+      L::pack_b(b, ldb, trans_b, j0, nr_cur, k, bp + js * b_strip, colsum(js));
     }
   };
   if (par && n_js >= 4)
@@ -184,27 +349,26 @@ void qgemm_impl(std::int64_t m, std::int64_t n, std::int64_t k,
     pack_b_range(0, n_js);
 
   std::atomic<std::int64_t> sat{0};
-  // Tile tasks, row-of-tiles major: a contiguous chunk packs each A strip
-  // once and reuses it across its run of B strips.
   const auto tile_range = [&](std::int64_t tb, std::int64_t te) {
-    T* ap = reinterpret_cast<T*>(GemmScratch::local().qa(
-        static_cast<std::size_t>(std::max<std::int64_t>(k, 1)) * QMR * sizeof(T)));
+    APack* ap = reinterpret_cast<APack*>(GemmScratch::local().qa(
+        static_cast<std::size_t>(std::max<std::int64_t>(units, 1)) * kQMr * sizeof(APack)));
     std::int64_t packed_ir = -1;
     std::int64_t local_sat = 0;
     for (std::int64_t t = tb; t < te; ++t) {
       const std::int64_t ir = t / n_js;
       const std::int64_t js = t % n_js;
-      const std::int64_t i0 = ir * QMR;
-      const int mr_cur = static_cast<int>(std::min<std::int64_t>(QMR, m - i0));
+      const std::int64_t i0 = ir * kQMr;
+      const int mr_cur = static_cast<int>(std::min<std::int64_t>(kQMr, m - i0));
       if (ir != packed_ir) {
-        pack_a_strip(a, lda, i0, mr_cur, k, ap);
+        L::pack_a(a, lda, i0, mr_cur, k, ap);
         packed_ir = ir;
       }
-      const std::int64_t j0 = js * QNR;
-      const int nr_cur = static_cast<int>(std::min<std::int64_t>(QNR, n - j0));
-      Acc acc[QMR][QNR] = {};
-      qmicro(k, ap, bp + js * k * QNR, acc);
-      local_sat += store_tile<T>(acc, i0, j0, mr_cur, nr_cur, c, ldc, ep);
+      const std::int64_t j0 = js * kQNr;
+      const int nr_cur = static_cast<int>(std::min<std::int64_t>(kQNr, n - j0));
+      alignas(32) Acc acc[kQMr][kQNr];
+      L::init(acc, colsum(js));
+      layout.micro(units, ap, bp + js * b_strip, acc);
+      local_sat += store_tile<typename L::Elem>(acc, i0, j0, mr_cur, nr_cur, c, ldc, ep);
     }
     if (local_sat != 0) sat.fetch_add(local_sat, std::memory_order_relaxed);
   };
@@ -238,17 +402,8 @@ std::int64_t quantize_to_t(const float* x, std::int64_t n, double step, std::int
 }
 
 // ---------------------------------------------------------------------------
-// SIMD paths (tensor/kernels/). All of these compute the exact same
-// modular-integer results as the generic templates above, so dispatching
-// through them never changes a single output byte — the property battery
-// asserts this across ISAs. Layout documentation lives in kernels.hpp;
-// saturation/overflow analysis in docs/method.md §16.
-
-template <typename T>
-inline T load_b_elem(const T* b, std::int64_t ldb, bool trans_b, std::int64_t kk,
-                     std::int64_t j) {
-  return trans_b ? b[j * ldb + kk] : b[kk * ldb + j];
-}
+// SIMD dispatch (tensor/kernels/). Saturation/overflow analysis of the
+// kernels: docs/method.md §16.
 
 // Min/max over the used region of B. One streaming pass, cheap next to
 // the m*n*k multiply-accumulates it gates.
@@ -270,91 +425,6 @@ void scan_b_range(const T* b, std::int64_t ldb, bool trans_b, std::int64_t n, st
   *max_out = mx;
 }
 
-// k-PAIR packers (qmicro8 / qmicro16). A pairs go into int32s (two int16
-// halves, low = even k); B pairs are interleaved int16 per column. Odd-k
-// and edge padding is zero, which contributes nothing to any dot product.
-template <typename T>
-void pack_a_pairs(const T* a, std::int64_t lda, std::int64_t i0, int mr_cur, std::int64_t k,
-                  std::int32_t* ap) {
-  const std::int64_t kp = (k + 1) / 2;
-  for (std::int64_t p = 0; p < kp; ++p) {
-    for (int r = 0; r < QMR; ++r) {
-      std::int16_t lo = 0, hi = 0;
-      if (r < mr_cur) {
-        const T* row = a + (i0 + r) * lda;
-        lo = static_cast<std::int16_t>(row[2 * p]);
-        if (2 * p + 1 < k) hi = static_cast<std::int16_t>(row[2 * p + 1]);
-      }
-      ap[p * QMR + r] =
-          static_cast<std::int32_t>(static_cast<std::uint16_t>(lo) |
-                                    (static_cast<std::uint32_t>(static_cast<std::uint16_t>(hi))
-                                     << 16));
-    }
-  }
-}
-
-template <typename T>
-void pack_b_pairs(const T* b, std::int64_t ldb, bool trans_b, std::int64_t j0, int nr_cur,
-                  std::int64_t k, std::int16_t* bp) {
-  const std::int64_t kp = (k + 1) / 2;
-  for (std::int64_t p = 0; p < kp; ++p) {
-    std::int16_t* dst = bp + p * 2 * QNR;
-    for (int c = 0; c < QNR; ++c) {
-      std::int16_t e0 = 0, e1 = 0;
-      if (c < nr_cur) {
-        e0 = static_cast<std::int16_t>(load_b_elem(b, ldb, trans_b, 2 * p, j0 + c));
-        if (2 * p + 1 < k)
-          e1 = static_cast<std::int16_t>(load_b_elem(b, ldb, trans_b, 2 * p + 1, j0 + c));
-      }
-      dst[2 * c] = e0;
-      dst[2 * c + 1] = e1;
-    }
-  }
-}
-
-// k-QUAD packers (qmicro8_maddubs). A bytes carry the +128 offset (the u8
-// side of vpmaddubsw); padding is 128 == offset-domain zero, and the
-// -128 * colsum compensation cancels padded rows' contribution exactly.
-// B bytes are plain int8, zero-padded; colsum[c] accumulates the strip's
-// true column sums for the compensation.
-void pack_a_quads8(const std::int8_t* a, std::int64_t lda, std::int64_t i0, int mr_cur,
-                   std::int64_t k, std::int32_t* ap) {
-  const std::int64_t kq = (k + 3) / 4;
-  std::uint8_t* bytes = reinterpret_cast<std::uint8_t*>(ap);
-  for (std::int64_t q = 0; q < kq; ++q) {
-    for (int r = 0; r < QMR; ++r) {
-      std::uint8_t* dst = bytes + (q * QMR + r) * 4;
-      for (int t = 0; t < 4; ++t) {
-        const std::int64_t kk = 4 * q + t;
-        std::uint8_t v = 128;
-        if (r < mr_cur && kk < k)
-          v = static_cast<std::uint8_t>(static_cast<std::int32_t>(a[(i0 + r) * lda + kk]) + 128);
-        dst[t] = v;
-      }
-    }
-  }
-}
-
-void pack_b_quads8(const std::int8_t* b, std::int64_t ldb, bool trans_b, std::int64_t j0,
-                   int nr_cur, std::int64_t k, std::int8_t* bp, std::int32_t* colsum) {
-  const std::int64_t kq = (k + 3) / 4;
-  for (int c = 0; c < QNR; ++c) colsum[c] = 0;
-  for (std::int64_t q = 0; q < kq; ++q) {
-    std::int8_t* dst = bp + q * 4 * QNR;
-    for (int c = 0; c < QNR; ++c) {
-      for (int t = 0; t < 4; ++t) {
-        const std::int64_t kk = 4 * q + t;
-        std::int8_t v = 0;
-        if (c < nr_cur && kk < k) {
-          v = load_b_elem(b, ldb, trans_b, kk, j0 + c);
-          colsum[c] += v;
-        }
-        dst[c * 4 + t] = v;
-      }
-    }
-  }
-}
-
 // GEMV (n == 1): per-row dot products over contiguous memory, no packing.
 // Strided x (ldb != 1 without trans_b) is compacted into scratch first.
 template <typename T, typename Acc, typename DotFn>
@@ -374,7 +444,7 @@ void qgemv_simd(std::int64_t m, std::int64_t k, const T* a, std::int64_t lda, co
   const auto row_range = [&](std::int64_t rb, std::int64_t re) {
     std::int64_t local_sat = 0;
     for (std::int64_t i = rb; i < re; ++i) {
-      Acc acc[QMR][QNR] = {};
+      Acc acc[kQMr][kQNr] = {};
       acc[0][0] = dot(k, a + i * lda, x);
       local_sat += store_tile<T>(acc, i, 0, 1, 1, c, ldc, ep);
     }
@@ -387,136 +457,9 @@ void qgemv_simd(std::int64_t m, std::int64_t k, const T* a, std::int64_t lda, co
   report_requant_sat(sat.load(std::memory_order_relaxed), ep);
 }
 
-// Matrix drivers. Same task decomposition as qgemm_impl (full-k output
-// tiles, strip-major, A packed once per row of tiles per chunk), so
-// worker-count determinism carries over unchanged.
-enum class PairKernel { kInt8, kInt16 };
-
-template <typename T, typename Acc>
-void qgemm_pairs_simd(const KernelRegistry& reg, PairKernel which, std::int64_t m,
-                      std::int64_t n, std::int64_t k, const T* a, std::int64_t lda, const T* b,
-                      std::int64_t ldb, void* c, std::int64_t ldc, const QGemmEpilogue& ep,
-                      bool trans_b) {
-  const std::int64_t kp = (k + 1) / 2;
-  const std::int64_t n_ir = ceil_div(m, QMR);
-  const std::int64_t n_js = ceil_div(n, QNR);
-  const bool par = 2 * m * n * k >= kSerialMacCutoff;
-
-  std::int16_t* bp = reinterpret_cast<std::int16_t*>(GemmScratch::local().qb(
-      static_cast<std::size_t>(n_js * kp) * 2 * QNR * sizeof(std::int16_t)));
-  const auto pack_b_range = [&](std::int64_t sb, std::int64_t se) {
-    for (std::int64_t js = sb; js < se; ++js) {
-      const std::int64_t j0 = js * QNR;
-      const int nr_cur = static_cast<int>(std::min<std::int64_t>(QNR, n - j0));
-      pack_b_pairs(b, ldb, trans_b, j0, nr_cur, k, bp + js * kp * 2 * QNR);
-    }
-  };
-  if (par && n_js >= 4)
-    parallel_for_chunked(0, n_js, pack_b_range);
-  else
-    pack_b_range(0, n_js);
-
-  std::atomic<std::int64_t> sat{0};
-  const auto tile_range = [&](std::int64_t tb, std::int64_t te) {
-    std::int32_t* ap = reinterpret_cast<std::int32_t*>(GemmScratch::local().qa(
-        static_cast<std::size_t>(kp) * QMR * sizeof(std::int32_t)));
-    std::int64_t packed_ir = -1;
-    std::int64_t local_sat = 0;
-    for (std::int64_t t = tb; t < te; ++t) {
-      const std::int64_t ir = t / n_js;
-      const std::int64_t js = t % n_js;
-      const std::int64_t i0 = ir * QMR;
-      const int mr_cur = static_cast<int>(std::min<std::int64_t>(QMR, m - i0));
-      if (ir != packed_ir) {
-        pack_a_pairs(a, lda, i0, mr_cur, k, ap);
-        packed_ir = ir;
-      }
-      const std::int64_t j0 = js * QNR;
-      const int nr_cur = static_cast<int>(std::min<std::int64_t>(QNR, n - j0));
-      alignas(32) Acc acc[QMR][QNR] = {};
-      if (which == PairKernel::kInt8)
-        reg.qmicro8(kp, ap, bp + js * kp * 2 * QNR,
-                    reinterpret_cast<std::int32_t*>(&acc[0][0]));
-      else
-        reg.qmicro16(kp, ap, bp + js * kp * 2 * QNR,
-                     reinterpret_cast<std::int64_t*>(&acc[0][0]));
-      local_sat += store_tile<T>(acc, i0, j0, mr_cur, nr_cur, c, ldc, ep);
-    }
-    if (local_sat != 0) sat.fetch_add(local_sat, std::memory_order_relaxed);
-  };
-  if (par)
-    parallel_for_chunked(0, n_ir * n_js, tile_range);
-  else
-    tile_range(0, n_ir * n_js);
-  report_requant_sat(sat.load(std::memory_order_relaxed), ep);
-}
-
-void qgemm_quads_simd(const KernelRegistry& reg, std::int64_t m, std::int64_t n, std::int64_t k,
-                      const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
-                      std::int64_t ldb, void* c, std::int64_t ldc, const QGemmEpilogue& ep,
-                      bool trans_b) {
-  const std::int64_t kq = (k + 3) / 4;
-  const std::int64_t n_ir = ceil_div(m, QMR);
-  const std::int64_t n_js = ceil_div(n, QNR);
-  const bool par = 2 * m * n * k >= kSerialMacCutoff;
-
-  // One arena block: quad-packed strips, then the per-strip column sums
-  // the compensation init needs.
-  const std::size_t quads_bytes = static_cast<std::size_t>(n_js * kq) * 4 * QNR;
-  unsigned char* raw =
-      GemmScratch::local().qb(quads_bytes + static_cast<std::size_t>(n_js) * QNR *
-                                                sizeof(std::int32_t));
-  std::int8_t* bq = reinterpret_cast<std::int8_t*>(raw);
-  std::int32_t* colsums = reinterpret_cast<std::int32_t*>(raw + quads_bytes);
-  const auto pack_b_range = [&](std::int64_t sb, std::int64_t se) {
-    for (std::int64_t js = sb; js < se; ++js) {
-      const std::int64_t j0 = js * QNR;
-      const int nr_cur = static_cast<int>(std::min<std::int64_t>(QNR, n - j0));
-      pack_b_quads8(b, ldb, trans_b, j0, nr_cur, k, bq + js * kq * 4 * QNR,
-                    colsums + js * QNR);
-    }
-  };
-  if (par && n_js >= 4)
-    parallel_for_chunked(0, n_js, pack_b_range);
-  else
-    pack_b_range(0, n_js);
-
-  std::atomic<std::int64_t> sat{0};
-  const auto tile_range = [&](std::int64_t tb, std::int64_t te) {
-    std::int32_t* ap = reinterpret_cast<std::int32_t*>(GemmScratch::local().qa(
-        static_cast<std::size_t>(kq) * QMR * sizeof(std::int32_t)));
-    std::int64_t packed_ir = -1;
-    std::int64_t local_sat = 0;
-    for (std::int64_t t = tb; t < te; ++t) {
-      const std::int64_t ir = t / n_js;
-      const std::int64_t js = t % n_js;
-      const std::int64_t i0 = ir * QMR;
-      const int mr_cur = static_cast<int>(std::min<std::int64_t>(QMR, m - i0));
-      if (ir != packed_ir) {
-        pack_a_quads8(a, lda, i0, mr_cur, k, ap);
-        packed_ir = ir;
-      }
-      const std::int64_t j0 = js * QNR;
-      const int nr_cur = static_cast<int>(std::min<std::int64_t>(QNR, n - j0));
-      const std::int32_t* cs = colsums + js * QNR;
-      alignas(32) std::int32_t acc[QMR][QNR];
-      for (int r = 0; r < QMR; ++r)
-        for (int cc = 0; cc < QNR; ++cc) acc[r][cc] = -128 * cs[cc];
-      reg.qmicro8_maddubs(kq, ap, bq + js * kq * 4 * QNR, &acc[0][0]);
-      local_sat += store_tile<std::int8_t>(acc, i0, j0, mr_cur, nr_cur, c, ldc, ep);
-    }
-    if (local_sat != 0) sat.fetch_add(local_sat, std::memory_order_relaxed);
-  };
-  if (par)
-    parallel_for_chunked(0, n_ir * n_js, tile_range);
-  else
-    tile_range(0, n_ir * n_js);
-  report_requant_sat(sat.load(std::memory_order_relaxed), ep);
-}
-
-// Top-level SIMD dispatch per type. Returns false when the generic
-// template path should run (scalar registry, k == 0, or an input pattern
-// a SIMD kernel cannot handle exactly).
+// Top-level SIMD dispatch per type. Returns false when the plain layout
+// should run (scalar registry, k == 0, or an input pattern a SIMD kernel
+// cannot handle exactly).
 bool qgemm8_simd(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
                  std::int64_t lda, const std::int8_t* b, std::int64_t ldb, void* c,
                  std::int64_t ldc, const QGemmEpilogue& ep, bool trans_b) {
@@ -535,13 +478,13 @@ bool qgemm8_simd(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8
     scan_b_range(b, ldb, trans_b, n, k, &bmin, &bmax);
     if (bmin >= -64 && bmax <= 64) {
       count_qgemm_kernel(&QGemmCounters::k_maddubs);
-      qgemm_quads_simd(reg, m, n, k, a, lda, b, ldb, c, ldc, ep, trans_b);
+      qgemm_tiles(QuadLayout{reg.qmicro8_maddubs}, m, n, k, a, lda, b, ldb, c, ldc, ep, trans_b);
       return true;
     }
   }
   count_qgemm_kernel(&QGemmCounters::k_madd);
-  qgemm_pairs_simd<std::int8_t, std::int32_t>(reg, PairKernel::kInt8, m, n, k, a, lda, b, ldb,
-                                              c, ldc, ep, trans_b);
+  qgemm_tiles(PairLayout<std::int8_t, std::int32_t>{reg.qmicro8}, m, n, k, a, lda, b, ldb, c,
+              ldc, ep, trans_b);
   return true;
 }
 
@@ -570,8 +513,8 @@ bool qgemm16_simd(std::int64_t m, std::int64_t n, std::int64_t k, const std::int
   scan_b_range(b, ldb, trans_b, n, k, &bmin, &bmax);
   if (bmin == std::numeric_limits<std::int16_t>::min()) return false;
   count_qgemm_kernel(&QGemmCounters::k_madd);
-  qgemm_pairs_simd<std::int16_t, std::int64_t>(reg, PairKernel::kInt16, m, n, k, a, lda, b, ldb,
-                                               c, ldc, ep, trans_b);
+  qgemm_tiles(PairLayout<std::int16_t, std::int64_t>{reg.qmicro16}, m, n, k, a, lda, b, ldb, c,
+              ldc, ep, trans_b);
   return true;
 }
 
@@ -653,8 +596,6 @@ std::int32_t apply_requant(std::int64_t acc, const QRequant& rq) {
   return static_cast<std::int32_t>(p);
 }
 
-QGemmBlocking qgemm_blocking() { return {QMR, QNR}; }
-
 void qgemm(QType type, std::int64_t m, std::int64_t n, std::int64_t k,
            const void* a, std::int64_t lda, const void* b, std::int64_t ldb,
            void* c, std::int64_t ldc, const QGemmEpilogue& ep, bool trans_b) {
@@ -665,37 +606,37 @@ void qgemm(QType type, std::int64_t m, std::int64_t n, std::int64_t k,
     QGemmCounters& qc = qgemm_counters();
     qc.calls->add(1);
     qc.macs->add(m * n * k);
-    qc.tiles->add(ceil_div(m, QMR) * ceil_div(n, QNR));
+    qc.tiles->add(ceil_div(m, kQMr) * ceil_div(n, kQNr));
   }
 
   switch (type) {
     case QType::kInt8:
       // int8 x int8 products are < 2^14, so int32 accumulation is exact
       // for any k < 2^17 — far beyond any layer this pipeline lowers.
-      // The SIMD paths compute identical bits (kernels.hpp contract); the
-      // generic template is the scalar ISA and the fallback.
+      // The SIMD layouts compute identical bits (kernels.hpp contract); the
+      // plain layout is the scalar ISA and the fallback.
       if (qgemm8_simd(m, n, k, static_cast<const std::int8_t*>(a), lda,
                       static_cast<const std::int8_t*>(b), ldb, c, ldc, ep, trans_b))
         return;
       count_qgemm_kernel(&QGemmCounters::k_scalar);
-      qgemm_impl<std::int8_t, std::int32_t>(m, n, k, static_cast<const std::int8_t*>(a), lda,
-                                            static_cast<const std::int8_t*>(b), ldb, c, ldc, ep,
-                                            trans_b);
+      qgemm_tiles(PlainLayout<std::int8_t, std::int32_t>{}, m, n, k,
+                  static_cast<const std::int8_t*>(a), lda, static_cast<const std::int8_t*>(b), ldb,
+                  c, ldc, ep, trans_b);
       break;
     case QType::kInt16:
       if (qgemm16_simd(m, n, k, static_cast<const std::int16_t*>(a), lda,
                        static_cast<const std::int16_t*>(b), ldb, c, ldc, ep, trans_b))
         return;
       count_qgemm_kernel(&QGemmCounters::k_scalar);
-      qgemm_impl<std::int16_t, std::int64_t>(m, n, k, static_cast<const std::int16_t*>(a), lda,
-                                             static_cast<const std::int16_t*>(b), ldb, c, ldc, ep,
-                                             trans_b);
+      qgemm_tiles(PlainLayout<std::int16_t, std::int64_t>{}, m, n, k,
+                  static_cast<const std::int16_t*>(a), lda, static_cast<const std::int16_t*>(b),
+                  ldb, c, ldc, ep, trans_b);
       break;
     case QType::kInt32:
       count_qgemm_kernel(&QGemmCounters::k_scalar);
-      qgemm_impl<std::int32_t, std::int64_t>(m, n, k, static_cast<const std::int32_t*>(a), lda,
-                                             static_cast<const std::int32_t*>(b), ldb, c, ldc, ep,
-                                             trans_b);
+      qgemm_tiles(PlainLayout<std::int32_t, std::int64_t>{}, m, n, k,
+                  static_cast<const std::int32_t*>(a), lda, static_cast<const std::int32_t*>(b),
+                  ldb, c, ldc, ep, trans_b);
       break;
   }
 }

@@ -22,6 +22,13 @@
 // against a naive int64 reference for every representable input — the
 // conformance battery depends on that exactness.
 //
+// One tile driver runs every call but the n == 1 GEMV; it is templated on
+// the packed layout, chosen per call from the active ISA and the input:
+// PLAIN (operand-typed strips, generic C++ micro-kernel: the scalar ISA,
+// int32, and the fallback), k-PAIR (AVX2 vpmaddwd, int8/int16) or k-QUAD
+// (AVX2 vpmaddubsw, int8 with every |b| <= 64). The kQMr x kQNr tile
+// geometry and the SIMD layouts are defined in tensor/kernels/kernels.hpp.
+//
 // Determinism contract (inherits tensor/gemm.hpp's, and is strictly
 // stronger): each output tile is owned by exactly one task, the task
 // accumulates the full k extent in a fixed ascending order, and C is
@@ -109,12 +116,6 @@ void qgemm(QType type, std::int64_t m, std::int64_t n, std::int64_t k,
            void* c, std::int64_t ldc,
            const QGemmEpilogue& ep, bool trans_b = false);
 
-// Micro-tile geometry built into this binary (tests cover its edges).
-struct QGemmBlocking {
-  int mr, nr;
-};
-QGemmBlocking qgemm_blocking();
-
 // ---------------------------------------------------------------------------
 // Saturating quantize-on-load: out[i] = clamp(nearbyint(x[i] / step), lo,
 // hi) stored as `type`. Bit-compatible with quant/fixed_point.hpp's
@@ -124,57 +125,5 @@ QGemmBlocking qgemm_blocking();
 // callers chunk it across the pool themselves.
 std::int64_t quantize_to(QType type, const float* x, std::int64_t n, double step,
                          std::int32_t lo, std::int32_t hi, void* out);
-
-// ---------------------------------------------------------------------------
-// Per-layer integer operands and store epilogue of one lowered step. The
-// compiled executor (compile/compiled_network.hpp) builds one per lowered
-// step and passes it to Conv2DLayer/InnerProductLayer::forward_integer.
-struct QLayerBinding {
-  QType type = QType::kInt16;
-  // Quantized weights in the layer's native layout ((OC, k_dim) rows for
-  // conv OIHW, (out, in) for inner product).
-  const void* weights = nullptr;
-  // Accumulator-scale bias per output channel; null when the layer has none.
-  const std::int64_t* bias = nullptr;
-  // Activation quantize-on-load parameters (the plan's I.F format).
-  double act_step = 1.0;
-  std::int32_t act_lo = 0;
-  std::int32_t act_hi = 0;
-  // Dequantize-on-store factor: act_step * weight_step.
-  double acc_scale = 1.0;
-  // Saturation sink for clipped activations (owned by the executor).
-  std::atomic<std::int64_t>* act_saturated = nullptr;
-
-  // --- Fused-region fields. The defaults are the unfused step:
-  // quantize-on-load, dequantize-on-store. ---
-  // Input tensor already holds `type` integers on this layer's activation
-  // grid (bit-cast inside the float Tensor buffer): skip quantize-on-load
-  // and feed the carrier straight into the integer GEMM.
-  bool in_quantized = false;
-  // Store requantized integers on the CONSUMER layer's activation grid
-  // instead of dequantizing to float: one cross-layer requantize
-  // (acc_scale / consumer act_step as a q31 multiplier) replaces the
-  // dequantize/quantize pair the unfused path pays at the boundary.
-  bool quant_store = false;
-  QRequant store_requant;
-  std::int32_t store_lo = 0;
-  std::int32_t store_hi = 0;
-  // Fused ReLU in the store epilogue (see QGemmEpilogue::relu).
-  bool relu = false;
-};
-
-// ---------------------------------------------------------------------------
-// Float-path store epilogue of a conv/FC step, passed by the compiled
-// executor (compile/) to the layers' float forward; the default is no
-// fusion. When scale/shift are non-null they hold one entry per output
-// channel and apply the folded BatchNormScale affine (x*a + b, the exact
-// expression of BatchNormScaleLayer::forward) ahead of the optional ReLU
-// — so the fused store is bitwise identical to running the separate
-// layers.
-struct FloatFusion {
-  bool relu = false;
-  const float* scale = nullptr;
-  const float* shift = nullptr;
-};
 
 }  // namespace mupod

@@ -260,11 +260,12 @@ void verify_lowered_step(const CompiledNetwork& cn, int si, const std::vector<Te
   const QGrid ag = qgrid_for(st.lw.act_fmt);
   const QGrid wg = qgrid_for(st.lw.w_fmt);
   const double acc_scale = ag.step * wg.step;
+  const QGemmEpilogue& ep = st.binding.ep;
 
   std::vector<T> xq;
-  if (st.in_quantized) {
+  if (st.binding.in_quantized) {
     // The producer stored carrier integers already on THIS step's grid.
-    ASSERT_TRUE(producer.quant_store);
+    ASSERT_TRUE(producer.binding.ep.quant_store);
     const T* c = reinterpret_cast<const T*>(in_t.data());
     xq.assign(c, c + in_t.numel());
   } else {
@@ -274,25 +275,31 @@ void verify_lowered_step(const CompiledNetwork& cn, int si, const std::vector<Te
 
   const std::vector<std::int64_t> acc = naive_accumulate<T>(st, xq, in_t.shape(), out_t.shape());
 
-  if (st.quant_store) {
+  if (ep.quant_store) {
     ++stats->quant_store_steps;
+    // The consumer's activation grid, from the IR rather than the epilogue.
+    const IrNode& node = cn.graph().nodes[static_cast<std::size_t>(st.src)];
+    const QGrid store_grid =
+        qgrid_for(cn.graph().nodes[static_cast<std::size_t>(node.quant_consumer)].act_fmt);
+    ASSERT_EQ(ep.lo, store_grid.lo);
+    ASSERT_EQ(ep.hi, store_grid.hi);
     const T* got = reinterpret_cast<const T*>(out_t.data());
     for (std::int64_t i = 0; i < out_t.numel(); ++i) {
       const std::int64_t a = acc[static_cast<std::size_t>(i)];
       // Exact contract: the kernel's carrier store IS apply_requant(acc).
-      std::int32_t q = apply_requant(a, st.store_requant);
-      if (st.relu && q < 0) q = 0;
-      if (q > st.store_grid.hi) q = st.store_grid.hi;
-      if (q < st.store_grid.lo) q = st.store_grid.lo;
+      std::int32_t q = apply_requant(a, ep.requant);
+      if (ep.relu && q < 0) q = 0;
+      if (q > store_grid.hi) q = store_grid.hi;
+      if (q < store_grid.lo) q = store_grid.lo;
       ASSERT_EQ(static_cast<std::int32_t>(got[i]), q)
           << "step " << si << " elem " << i << ": carrier store != requant(naive acc)";
       // One-step contract vs the unfused double rounding this elision
       // replaced: float dequant store, then quantize-on-load.
       float y = static_cast<float>(static_cast<double>(a) * acc_scale);
-      if (st.relu) y = y > 0.0f ? y : 0.0f;
-      double qdd = std::nearbyint(static_cast<double>(y) / st.store_grid.step);
-      if (qdd > st.store_grid.hi) qdd = st.store_grid.hi;
-      if (qdd < st.store_grid.lo) qdd = st.store_grid.lo;
+      if (ep.relu) y = y > 0.0f ? y : 0.0f;
+      double qdd = std::nearbyint(static_cast<double>(y) / store_grid.step);
+      if (qdd > store_grid.hi) qdd = store_grid.hi;
+      if (qdd < store_grid.lo) qdd = store_grid.lo;
       ASSERT_LE(std::abs(q - static_cast<std::int32_t>(qdd)), 1)
           << "step " << si << " elem " << i
           << ": fused requantize more than one step from the unfused value";
@@ -303,7 +310,7 @@ void verify_lowered_step(const CompiledNetwork& cn, int si, const std::vector<Te
     for (std::int64_t i = 0; i < out_t.numel(); ++i) {
       float y = static_cast<float>(static_cast<double>(acc[static_cast<std::size_t>(i)]) *
                                    acc_scale);
-      if (st.relu) y = y > 0.0f ? y : 0.0f;
+      if (ep.relu) y = y > 0.0f ? y : 0.0f;
       ASSERT_EQ(got[i], y) << "step " << si << " elem " << i
                            << ": float dequant store != naive reference";
       ++stats->float_elems;

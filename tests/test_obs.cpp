@@ -509,8 +509,11 @@ TEST(ObsAcceptance, NinSweepStageAccountingCacheCountersAndTrace) {
   EXPECT_GT(objective_fwd, 0);
   EXPECT_EQ(harness_fwd + profile_fwd + sigma_fwd + objective_fwd, service.forward_count(key));
   // One sigma search per target, with converged brackets in-histogram.
-  for (const auto& h : snap.histograms)
-    if (h.name == "sigma.search.evaluations") EXPECT_EQ(h.count, 4);
+  for (const auto& h : snap.histograms) {
+    if (h.name == "sigma.search.evaluations") {
+      EXPECT_EQ(h.count, 4);
+    }
+  }
 
   // The trace of the sweep exports as valid Chrome-trace JSON carrying the
   // stage and serve spans.

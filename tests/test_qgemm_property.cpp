@@ -6,7 +6,7 @@
 // every comparison against the naive int64 reference is ASSERT_EQ.
 // Covered here:
 //   * randomized GEMM vs naive int64 reference across edge shapes (M=1,
-//     K=1, ragged tiles around the QMR x QNR micro-tile), both operand
+//     K=1, ragged tiles around the kQMr x kQNr micro-tile), both operand
 //     orientations (trans_b), both bias axes, both store epilogues;
 //   * saturating requantize-on-store exactness (apply_requant is the
 //     committed scalar contract) and saturation counting;
@@ -86,21 +86,20 @@ struct QCase {
 };
 static_assert(sizeof(QCase) == 3 * sizeof(std::int64_t) + 2 * sizeof(std::int32_t));
 
-// Shapes chosen around the QMR x QNR = 4 x 16 micro-tile: degenerate
+// Shapes chosen around the kQMr x kQNr = 4 x 16 micro-tile: degenerate
 // extents, exact multiples, and ragged remainders on both axes. Large
 // enough cases cross the serial-MAC cutoff so tile tasks really fan out.
 std::vector<QCase> qgemm_cases() {
-  const QGemmBlocking bl = qgemm_blocking();
   std::vector<QCase> cases = {
       {1, 1, 1, false, 0},
       {1, 1, 1, true, 1},
       {1, 257, 3, false, 2},
       {257, 1, 5, false, 1},  // GEMV shape (batch-1 inner product)
       {3, 4, 1, true, 0},     // K = 1
-      {bl.mr, bl.nr, 7, false, 1},
-      {bl.mr + 1, bl.nr + 1, 9, false, 2},      // one past a full tile
-      {3 * bl.mr - 1, 2 * bl.nr - 3, 33, true, 1},  // ragged both axes
-      {2 * bl.mr, 4 * bl.nr, 64, false, 0},
+      {kQMr, kQNr, 7, false, 1},
+      {kQMr + 1, kQNr + 1, 9, false, 2},      // one past a full tile
+      {3 * kQMr - 1, 2 * kQNr - 3, 33, true, 1},  // ragged both axes
+      {2 * kQMr, 4 * kQNr, 64, false, 0},
       {37, 53, 129, true, 2},
       {64, 96, 256, false, 1},  // big enough to cross the parallel cutoff
   };

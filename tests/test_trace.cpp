@@ -202,8 +202,9 @@ TEST(TracerRing, ConcurrentRecordersStayPerThreadChronologicalAcrossWrap) {
     const std::int64_t tid = e.args[0].second;
     const std::int64_t seq = e.args[1].second;
     const auto it = last_seq.find(tid);
-    if (it != last_seq.end())
+    if (it != last_seq.end()) {
       EXPECT_LT(it->second, seq) << "thread " << tid << " events out of order";
+    }
     last_seq[tid] = seq;
   }
 }

@@ -23,8 +23,9 @@
 // dequantize/requantize passes and the separate ReLU passes. Whether that
 // makes it faster than unfused int8 at batch 1 is recorded, not gated:
 // the int8_fused_speedup column and `fused_int8_wins_batch1` in the JSON.
-// On NiN the flag currently reads false (int8_fused_speedup measured
-// 0.94-0.99x on a 4-vCPU AVX2+FMA Xeon; ROADMAP item 4). Per-net fusion
+// It reads true on a 4-vCPU AVX2+FMA Xeon (int8_fused_speedup measured
+// 1.09-1.19x on NiN and 1.01-1.04x on AlexNet); AlexNet's margin is
+// within noise, so the flag can read false there. Per-net fusion
 // counts land in the JSON rows; `--print-fusion` emits them alone as a
 // JSON object for the bench manifest.
 //

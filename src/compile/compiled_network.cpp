@@ -1,6 +1,8 @@
 #include "compile/compiled_network.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdlib>
 #include <span>
 #include <utility>
 
@@ -10,6 +12,21 @@
 #include "obs/stage_scope.hpp"
 
 namespace mupod {
+
+namespace {
+
+std::int64_t max_abs_weight(const QLayerLowering& lw) {
+  std::int64_t m = 0;
+  const auto scan = [&m](const auto& w) {
+    for (const auto v : w) m = std::max<std::int64_t>(m, std::abs(static_cast<std::int64_t>(v)));
+  };
+  scan(lw.w8);
+  scan(lw.w16);
+  scan(lw.w32);
+  return m;
+}
+
+}  // namespace
 
 CompiledNetwork::CompiledNetwork(const Network& net, CompiledGraph graph,
                                  const CompileOptions& opts)
@@ -102,6 +119,12 @@ CompiledNetwork::CompiledNetwork(const Network& net, CompiledGraph graph,
     b.in_quantized = n.in_quantized;
     b.ep.scale = ag.step * wg.step;
     b.ep.relu = n.relu_fused;
+    // Derived operand bounds (tensor/qgemm.hpp): they let qgemm prove
+    // int32 accumulators exact. The weights are A for a conv and the
+    // batch-1 inner product; the batched inner product substitutes its
+    // input grid bound.
+    b.ep.a_max = max_abs_weight(st.lw);
+    for (const std::int64_t v : st.lw.bias) b.ep.bias_max = std::max(b.ep.bias_max, std::abs(v));
     if (n.quant_store) {
       // Fused-region output: requantize straight onto the consumer's
       // grid. acc_scale / consumer act_step are all powers of two, so the

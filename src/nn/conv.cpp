@@ -51,31 +51,29 @@ namespace {
 
 // Fills rows [kb, ke) of the column-major patch matrix `col` of shape
 // [icg*KH*KW rows, OH*OW cols]: col[k][j] = input value the k-th kernel
-// tap sees at output position j (0 where the tap falls in padding).
-// Templated over the element type: the integer execution path expands the
-// already-quantized int8/int16/int32 activations with the same code.
-template <typename T>
-void im2col_rows(const T* ximg, int H, int W, int KH, int KW, int stride, int pad,
-                 int OH, int OW, T* col, std::int64_t kb, std::int64_t ke) {
+// tap sees at output position j (0 where the tap falls in padding). The
+// integer path never materializes it (qgemm_patches packs from the image).
+void im2col_rows(const float* ximg, int H, int W, int KH, int KW, int stride, int pad,
+                 int OH, int OW, float* col, std::int64_t kb, std::int64_t ke) {
   const std::int64_t cols = static_cast<std::int64_t>(OH) * OW;
   for (std::int64_t k = kb; k < ke; ++k) {
     const int ic = static_cast<int>(k / (KH * KW));
     const int rem = static_cast<int>(k % (KH * KW));
     const int kh = rem / KW;
     const int kw = rem % KW;
-    const T* xplane = ximg + static_cast<std::int64_t>(ic) * H * W;
-    T* crow = col + k * cols;
+    const float* xplane = ximg + static_cast<std::int64_t>(ic) * H * W;
+    float* crow = col + k * cols;
     for (int oh = 0; oh < OH; ++oh) {
       const int ih = oh * stride - pad + kh;
-      T* cptr = crow + static_cast<std::int64_t>(oh) * OW;
+      float* cptr = crow + static_cast<std::int64_t>(oh) * OW;
       if (ih < 0 || ih >= H) {
-        std::fill(cptr, cptr + OW, T(0));
+        std::fill(cptr, cptr + OW, 0.0f);
         continue;
       }
-      const T* xrow = xplane + static_cast<std::int64_t>(ih) * W;
+      const float* xrow = xplane + static_cast<std::int64_t>(ih) * W;
       for (int ow = 0; ow < OW; ++ow) {
         const int iw = ow * stride - pad + kw;
-        cptr[ow] = (iw >= 0 && iw < W) ? xrow[iw] : T(0);
+        cptr[ow] = (iw >= 0 && iw < W) ? xrow[iw] : 0.0f;
       }
     }
   }
@@ -85,9 +83,8 @@ void im2col_rows(const T* ximg, int H, int W, int KH, int KW, int stride, int pa
 // when the expansion is big enough to amortize a pool dispatch (a no-op
 // serial fallback when already inside a parallel region, so the batched
 // outer loop can stay parallel over images).
-template <typename T>
-void im2col_group(const T* ximg, int icg, int H, int W, int KH, int KW, int stride, int pad,
-                  int OH, int OW, T* col) {
+void im2col_group(const float* ximg, int icg, int H, int W, int KH, int KW, int stride, int pad,
+                  int OH, int OW, float* col) {
   const std::int64_t rows = static_cast<std::int64_t>(icg) * KH * KW;
   const std::int64_t cols = static_cast<std::int64_t>(OH) * OW;
   if (rows * cols >= (1 << 14)) {
@@ -99,26 +96,26 @@ void im2col_group(const T* ximg, int icg, int H, int W, int KH, int KW, int stri
   }
 }
 
-// Integer conv: quantize-on-load once, then per (image, group) an integer
-// im2col feeds one qgemm whose epilogue adds the accumulator-scale bias
-// and stores. Every conv shape takes this route in integer mode (no
-// direct-path crossover: the MACs must run in integer arithmetic, and a
-// depthwise qgemm is still exact, just not optimal).
+// Integer conv: quantize-on-load once, then per (image, group) one qgemm
+// whose packers read B straight from the quantized image (qgemm_patches;
+// a pointwise conv's image already is B) and whose epilogue adds the
+// accumulator-scale bias and stores. Every conv shape takes this route
+// in integer mode (no direct-path crossover: the MACs must run in integer
+// arithmetic, and a depthwise qgemm is still exact, just not optimal).
 template <typename T>
 void conv_forward_integer(const Conv2DLayer::Config& cfg, const QLayerBinding& q,
                           const Tensor& x, Tensor& out) {
   const int N = x.shape().n(), C = x.shape().c(), H = x.shape().h(), W = x.shape().w();
   const int OC = out.shape().c(), OH = out.shape().h(), OW = out.shape().w();
-  const int KH = cfg.kernel_h, KW = cfg.kernel_w;
-  const int stride = cfg.stride, pad = cfg.pad;
   const int groups = cfg.groups;
   const int icg = C / groups;
   const int ocg = OC / groups;
   const std::int64_t x_img = static_cast<std::int64_t>(C) * H * W;
   const std::int64_t y_img = static_cast<std::int64_t>(OC) * OH * OW;
-  const std::int64_t k_dim = static_cast<std::int64_t>(icg) * KH * KW;
+  const std::int64_t k_dim = static_cast<std::int64_t>(icg) * cfg.kernel_h * cfg.kernel_w;
   const std::int64_t spatial = static_cast<std::int64_t>(OH) * OW;
-  const bool is_pointwise = KH == 1 && KW == 1 && stride == 1 && pad == 0;
+  const bool is_pointwise =
+      cfg.kernel_h == 1 && cfg.kernel_w == 1 && cfg.stride == 1 && cfg.pad == 0;
 
   const T* xq = static_cast<const T*>(quantize_on_load(q, x));
   const T* wq = static_cast<const T*>(q.weights);
@@ -128,18 +125,10 @@ void conv_forward_integer(const Conv2DLayer::Config& cfg, const QLayerBinding& q
   // both give bitwise identical results (integer accumulation is exact).
   const std::int64_t jobs = static_cast<std::int64_t>(N) * groups;
   const auto body = [&](std::int64_t b, std::int64_t e) {
-    GemmScratch& scratch = GemmScratch::local();
     for (std::int64_t idx = b; idx < e; ++idx) {
       const int n = static_cast<int>(idx / groups);
       const int g = static_cast<int>(idx % groups);
       const T* ximg = xq + n * x_img + static_cast<std::int64_t>(g) * icg * H * W;
-      const T* bmat = ximg;
-      if (!is_pointwise) {
-        T* col = reinterpret_cast<T*>(
-            scratch.qcol(static_cast<std::size_t>(k_dim * spatial) * sizeof(T)));
-        im2col_group(ximg, icg, H, W, KH, KW, stride, pad, OH, OW, col);
-        bmat = col;
-      }
       const std::int64_t y_off = n * y_img + static_cast<std::int64_t>(g) * ocg * spatial;
       QGemmEpilogue ep = q.ep;
       ep.bias_row = q.bias != nullptr ? q.bias + static_cast<std::int64_t>(g) * ocg : nullptr;
@@ -147,8 +136,14 @@ void conv_forward_integer(const Conv2DLayer::Config& cfg, const QLayerBinding& q
       // carrier), a dequantizing one floats.
       void* yg = ep.quant_store ? static_cast<void*>(reinterpret_cast<T*>(ydata) + y_off)
                                 : static_cast<void*>(ydata + y_off);
-      qgemm(q.type, ocg, spatial, k_dim, wq + static_cast<std::int64_t>(g) * ocg * k_dim, k_dim,
-            bmat, spatial, yg, spatial, ep);
+      const T* wg = wq + static_cast<std::int64_t>(g) * ocg * k_dim;
+      if (is_pointwise) {
+        qgemm(q.type, ocg, spatial, k_dim, wg, k_dim, ximg, spatial, yg, spatial, ep);
+      } else {
+        const QPatchB patches{ximg, icg, H, W, cfg.kernel_h, cfg.kernel_w, cfg.stride, cfg.pad,
+                              OH, OW};
+        qgemm_patches(q.type, ocg, wg, k_dim, patches, yg, spatial, ep);
+      }
     }
   };
   if (jobs >= parallel_worker_count() && jobs > 1)

@@ -38,7 +38,10 @@ void InnerProductLayer::forward_integer(const QLayerBinding& q, const Tensor& x,
     ep.bias_row = q.bias;
     qgemm(q.type, out_f, 1, in_f, q.weights, in_f, xq, 1, out.data(), 1, ep);
   } else {
+    // A is the quantized input here, bounded by its grid; the weights
+    // are B, which qgemm scans.
     ep.bias_col = q.bias;
+    ep.a_max = -static_cast<std::int64_t>(q.act_lo);
     qgemm(q.type, N, out_f, in_f, xq, in_f, q.weights, in_f, out.data(), out_f, ep,
           /*trans_b=*/true);
   }

@@ -73,10 +73,11 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
 //   col                  the im2col column buffer of Conv2DLayer;
 //   qa / qb / qcol /     byte-granular slots for the integer path
 //   qact                 (tensor/qgemm.cpp, nn/): packed int A strips, packed
-//                        int B panels, the integer im2col buffer, and the
-//                        quantized copy of a layer's input activations
-//                        (qb/qact are written by the calling thread and
-//                        read by tile tasks).
+//                        int B panels, the zero-bordered image copy a conv
+//                        packs its B strips from, and the quantized copy
+//                        of a layer's input activations (qb/qcol/qact are
+//                        written by the calling thread and read by the
+//                        packing and tile tasks).
 // The returned pointers stay valid until the next call for the same slot
 // on the same thread with a larger size.
 class GemmScratch {

@@ -13,6 +13,7 @@
 //              baseline ISA on every target and the correctness
 //              reference for the other entries;
 //   kAvx2      AVX2 integer kernels (vpmaddwd / vpmaddubsw dot products,
+//              B-strip packers, range scans, the int32 store epilogue,
 //              vectorized quantize-on-load) plus a mul+add 6x16 SGEMM
 //              micro-kernel;
 //   kAvx2Fma   kAvx2's integer kernels plus an FMA 6x16 SGEMM
@@ -72,10 +73,11 @@ void set_kernel_isa(KernelIsa isa);
 // Fixed micro-tile geometry shared by every integer kernel and the one
 // qgemm tile driver (every packed layout, the scalar reference included,
 // uses the same 4 x 16 tile, so tile-task ownership — and therefore
-// determinism — is ISA-independent). Integer accumulators are wider than
-// floats (int32 for int8 operands, int64 otherwise), so the tile is kept
-// at 4 x 16: the int32 case fits the vector register file on SSE2 and the
-// int64 case stays inside one L1 line set.
+// determinism — is ISA-independent). Integer accumulators are int32
+// (int8 operands, and int16 operands whose bound proves int32 exact) or
+// int64 (every other int16/int32 call), so the tile is kept at 4 x 16:
+// the int32 case fits the vector register file on SSE2 and the int64
+// case stays inside one L1 line set.
 inline constexpr int kQMr = 4;
 inline constexpr int kQNr = 16;
 // Upper bounds on the float micro-tile geometry across ISAs (the generic
@@ -84,9 +86,10 @@ inline constexpr int kMaxMr = 8;
 inline constexpr int kMaxNr = 16;
 
 // Packed-operand layouts consumed by the integer kernels (produced by
-// qgemm.cpp's packers; byte-exact definitions in docs/method.md §16):
+// qgemm.cpp's A packers and the qpack_* entries below; byte-exact
+// definitions in docs/method.md §16):
 //
-//  * k-PAIR layout (qmicro8 / qmicro16, exact for all inputs): A strip
+//  * k-PAIR layout (qmicro_pair32 / qmicro_pair64): A strip
 //    ap[p * kQMr + r] is an int32 holding the sign-extended pair
 //    (a[2p, r], a[2p+1, r]) as two int16s (low half = even k). B strip
 //    bp[p * 2*kQNr + ...] holds, per pair p, 32 int16s: columns 0..7
@@ -100,6 +103,23 @@ inline constexpr int kMaxNr = 16;
 //    pre-initializes acc[r][c] = -128 * colsum[c] so the offset cancels
 //    exactly; legal only when every |b| <= 64 (no vpmaddubsw saturation)
 //    and k <= 2^16 (no int32 accumulator wrap) — qgemm.cpp checks both.
+
+// Parameters of the SIMD store epilogue (qstore_tile32): the
+// QGemmEpilogue of tensor/qgemm.hpp, reduced to the shapes the entry
+// handles. shift == 0 is the dequantizing store c = float(v) * scale,
+// with scale a power of two in [2^-126, 2^96] (so the product is exact
+// and c equals the scalar float(double(v) * scale)); shift == t in
+// [1, 30] is the power-of-two requantize q = (v + 2^(t-1)) >> t, then
+// ReLU, then the [lo, hi] clamp, stored as out_bytes (1 or 2) integers.
+struct QTileStore {
+  float scale = 1.0f;
+  int shift = 0;
+  std::int32_t lo = 0;
+  std::int32_t hi = 0;
+  int out_bytes = 0;
+  bool relu = false;
+};
+
 struct KernelRegistry {
   KernelIsa isa;
 
@@ -117,16 +137,45 @@ struct KernelRegistry {
   void (*sgemm_micro_mul_add)(int kc, const float* ap, const float* bp, float* c,
                               std::int64_t ldc, float beta);
 
-  // Integer micro-kernels; null => qgemm.cpp's tile driver runs its
-  // PLAIN layout (generic C++ micro-kernel).
-  // acc is the kQMr x kQNr int32/int64 accumulator tile, accumulated
-  // in-place (callers zero- or compensation-initialize it).
-  void (*qmicro8)(std::int64_t k_pairs, const std::int32_t* ap, const std::int16_t* bp,
-                  std::int32_t* acc);
+  // Integer micro-kernels, named after the accumulator they implement;
+  // null => qgemm.cpp's tile driver runs its PLAIN layout (generic C++
+  // micro-kernel). acc is the kQMr x kQNr accumulator tile, accumulated
+  // in-place (callers zero- or compensation-initialize it). The pair
+  // kernels take int8 or int16 operands alike (both pack as int16 pairs):
+  // pair32 keeps int32 accumulators — exact for int8 operands and for
+  // int16 calls whose bound qgemm.cpp proves — and pair64 widens each
+  // vpmaddwd sum to int64.
+  void (*qmicro_pair32)(std::int64_t k_pairs, const std::int32_t* ap, const std::int16_t* bp,
+                        std::int32_t* acc);
   void (*qmicro8_maddubs)(std::int64_t k_quads, const std::int32_t* ap, const std::int8_t* bp,
                           std::int32_t* acc);
-  void (*qmicro16)(std::int64_t k_pairs, const std::int32_t* ap, const std::int16_t* bp,
-                   std::int64_t* acc);
+  void (*qmicro_pair64)(std::int64_t k_pairs, const std::int32_t* ap, const std::int16_t* bp,
+                        std::int64_t* acc);
+
+  // B-strip packers of the pair and quad layouts: pack k-rows of one
+  // strip, rows[kk] pointing at its kQNr B values (the caller zero-pads
+  // edge columns); k tails pad with zero rows. The quad packer also adds
+  // the rows' column sums into colsum[0, kQNr). A strip may be packed in
+  // consecutive calls whose k is a multiple of the unit.
+  void (*qpack_pair8)(std::int64_t k, const std::int8_t* const* rows, std::int16_t* bp);
+  void (*qpack_pair16)(std::int64_t k, const std::int16_t* const* rows, std::int16_t* bp);
+  void (*qpack_quad8)(std::int64_t k, const std::int8_t* const* rows, std::int8_t* bp,
+                      std::int32_t* colsum);
+  // Widens [*mn, *mx] to cover x[0, n): the B range scan that gates the
+  // quad kernel, the int16 -32768 corner and the int32-accumulator bound.
+  void (*qrange8)(const std::int8_t* x, std::int64_t n, std::int32_t* mn, std::int32_t* mx);
+  void (*qrange16)(const std::int16_t* x, std::int64_t n, std::int32_t* mn, std::int32_t* mx);
+
+  // Store epilogue of one FULL kQMr x kQNr int32 accumulator tile
+  // (row-major acc): adds bias_row[r] (kQMr values) or, when that is
+  // null, bias_col[c] (kQNr values), then stores per `st` into the tile
+  // at c (float or out_bytes integers, leading dimension ldc). Returns
+  // the clamp count. The caller guarantees that acc + bias (+ the
+  // rounding half) fits int32. Byte-identical to qgemm.cpp's scalar
+  // store_tile on those inputs; edge tiles always take store_tile.
+  std::int64_t (*qstore_tile32)(const std::int32_t* acc, const QTileStore& st,
+                                const std::int64_t* bias_row, const std::int64_t* bias_col,
+                                void* c, std::int64_t ldc);
 
   // GEMV dot products (n == 1 calls — the batch-1 inner product): plain
   // contiguous rows, no packing. Exact (same modular arithmetic as the

@@ -9,10 +9,13 @@
 // so any SIMD accumulation order is bitwise identical to the scalar
 // ascending-k loop.
 //
-//  * qmicro8 (k-pair): operands are sign-extended int8 pairs packed as
-//    int16; vpmaddwd products are <= 127*127 = 16129 and pair sums
-//    <= 32258 < 2^31 per step, accumulated in int32 — exact for ALL
-//    int8 inputs.
+//  * qmicro_pair32 (k-pair, int32 accumulators): operands are int8 or
+//    int16 values packed as int16 pairs. For int8 operands vpmaddwd pair
+//    sums are <= 2 * 128 * 128 and any k below 2^17 stays exact. int16
+//    operands run here only when qgemm.cpp has proven
+//    k * max|A| * max|B| + max|bias| + 2^(t-1) < 2^31 for the call, which
+//    bounds every partial sum and also excludes the one vpmaddwd overflow
+//    corner (both pairs (-32768)*(-32768) sum to 2^31).
 //  * qmicro8_maddubs (k-quad): vpmaddubsw computes u8*s8 with signed
 //    16-bit SATURATION; the packers offset A by +128 (u8 side) and the
 //    caller pre-initializes the accumulator with -128 * colsum so the
@@ -20,17 +23,23 @@
 //    kernel when every |b| <= 64 (pair sums <= 2*255*64 = 32640 < 32768:
 //    no saturation) and k <= 2^16 (acc magnitude <= 2^16 * 255 * 64 +
 //    compensation < 2^31: no wrap), so it is exact whenever invoked.
-//  * qmicro16 (k-pair): vpmaddwd pair sums are exact in int32 except the
-//    single corner where both pairs are (-32768)*(-32768); qgemm.cpp
-//    scans B for -32768 and falls back to the plain layout, so the corner
-//    is unreachable here. Pair sums are widened to int64 before
-//    accumulation (matches the scalar int64 accumulator bit-for-bit).
+//  * qmicro_pair64 (k-pair, int64 accumulators): the int16 calls without
+//    that bound. vpmaddwd pair sums are exact in int32 except the
+//    (-32768)^2 corner; qgemm.cpp scans B for -32768 and falls back to
+//    the plain layout, so the corner is unreachable here. Pair sums are
+//    widened to int64 before accumulation.
+//  * qstore_tile32: with acc + bias (+ 2^(t-1)) inside int32, the int32
+//    add and arithmetic shift equal store_tile's int64 ones; cvtdq2ps
+//    rounds the integer to float once, exactly like float(double(v)), and
+//    the power-of-two scale then multiplies exactly.
+//  * the packers and range scans only move or compare values.
 #include "tensor/kernels/kernels_internal.hpp"
 
 #ifdef MUPOD_HAVE_AVX2_KERNELS
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace mupod {
@@ -79,11 +88,11 @@ void sgemm_micro_avx2(int kc, const float* __restrict ap, const float* __restric
 }
 
 // ---------------------------------------------------------------------------
-// int8 k-pair kernel: exact for all inputs.
+// k-pair kernel with int32 accumulators (int8 operands, bounded int16).
 // ap[p*4 + r] = (int32) two sign-extended int16s (a[2p,r], a[2p+1,r]);
 // bp, per pair p, 32 int16s: cols 0..7 interleaved then cols 8..15.
 
-void qmicro8_madd_avx2(std::int64_t k_pairs, const std::int32_t* __restrict ap,
+void qmicro_pair32_avx2(std::int64_t k_pairs, const std::int32_t* __restrict ap,
                        const std::int16_t* __restrict bp, std::int32_t* __restrict acc) {
   __m256i vacc[kQMr][2];
   for (int r = 0; r < kQMr; ++r) {
@@ -144,10 +153,10 @@ void qmicro8_maddubs_avx2(std::int64_t k_quads, const std::int32_t* __restrict a
 }
 
 // ---------------------------------------------------------------------------
-// int16 k-pair kernel: vpmaddwd pair sums widened to int64. Same packed
-// layouts as qmicro8's pair layout, with real int16 operand values.
+// k-pair kernel with int64 accumulators: vpmaddwd pair sums widened to
+// int64. Same packed layouts as qmicro_pair32.
 
-void qmicro16_madd_avx2(std::int64_t k_pairs, const std::int32_t* __restrict ap,
+void qmicro_pair64_avx2(std::int64_t k_pairs, const std::int32_t* __restrict ap,
                         const std::int16_t* __restrict bp, std::int64_t* __restrict acc) {
   for (int r = 0; r < kQMr; ++r) {
     __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + r * kQNr));
@@ -172,6 +181,188 @@ void qmicro16_madd_avx2(std::int64_t k_pairs, const std::int32_t* __restrict ap,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r * kQNr + 8), a2);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r * kQNr + 12), a3);
   }
+}
+
+// ---------------------------------------------------------------------------
+// B-strip packers. Each k-row is kQNr contiguous values; pairs interleave
+// two rows column by column, quads transpose four rows into 4-byte
+// column groups.
+
+inline void store_pair(__m256i r0, __m256i r1, std::int16_t* __restrict dst) {
+  const __m256i lo = _mm256_unpacklo_epi16(r0, r1);  // cols 0..3 | 8..11
+  const __m256i hi = _mm256_unpackhi_epi16(r0, r1);  // cols 4..7 | 12..15
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), _mm256_permute2x128_si256(lo, hi, 0x20));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 16),
+                      _mm256_permute2x128_si256(lo, hi, 0x31));
+}
+
+inline __m256i load_row8(const std::int8_t* row) {
+  return _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(row)));
+}
+
+inline __m256i load_row16(const std::int16_t* row) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row));
+}
+
+void qpack_pair8_avx2(std::int64_t k, const std::int8_t* const* rows, std::int16_t* bp) {
+  std::int64_t kk = 0;
+  for (; kk + 2 <= k; kk += 2, bp += 2 * kQNr)
+    store_pair(load_row8(rows[kk]), load_row8(rows[kk + 1]), bp);
+  if (kk < k) store_pair(load_row8(rows[kk]), _mm256_setzero_si256(), bp);
+}
+
+void qpack_pair16_avx2(std::int64_t k, const std::int16_t* const* rows, std::int16_t* bp) {
+  std::int64_t kk = 0;
+  for (; kk + 2 <= k; kk += 2, bp += 2 * kQNr)
+    store_pair(load_row16(rows[kk]), load_row16(rows[kk + 1]), bp);
+  if (kk < k) store_pair(load_row16(rows[kk]), _mm256_setzero_si256(), bp);
+}
+
+void qpack_quad8_avx2(std::int64_t k, const std::int8_t* const* rows, std::int8_t* bp,
+                      std::int32_t* colsum) {
+  __m256i sum_lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(colsum));  // cols 0..7
+  __m256i sum_hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(colsum + 8));
+  for (std::int64_t kk = 0; kk < k; kk += 4, bp += 4 * kQNr) {
+    __m128i r[4];
+    for (int t = 0; t < 4; ++t)
+      r[t] = kk + t < k ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[kk + t]))
+                        : _mm_setzero_si128();
+    const __m128i a = _mm_unpacklo_epi8(r[0], r[1]);
+    const __m128i b = _mm_unpackhi_epi8(r[0], r[1]);
+    const __m128i c = _mm_unpacklo_epi8(r[2], r[3]);
+    const __m128i d = _mm_unpackhi_epi8(r[2], r[3]);
+    __m128i* dst = reinterpret_cast<__m128i*>(bp);
+    _mm_storeu_si128(dst + 0, _mm_unpacklo_epi16(a, c));
+    _mm_storeu_si128(dst + 1, _mm_unpackhi_epi16(a, c));
+    _mm_storeu_si128(dst + 2, _mm_unpacklo_epi16(b, d));
+    _mm_storeu_si128(dst + 3, _mm_unpackhi_epi16(b, d));
+    // Four rows sum to |s| <= 512 in int16, then widen per quad.
+    const __m256i s = _mm256_add_epi16(
+        _mm256_add_epi16(_mm256_cvtepi8_epi16(r[0]), _mm256_cvtepi8_epi16(r[1])),
+        _mm256_add_epi16(_mm256_cvtepi8_epi16(r[2]), _mm256_cvtepi8_epi16(r[3])));
+    sum_lo = _mm256_add_epi32(sum_lo, _mm256_cvtepi16_epi32(_mm256_castsi256_si128(s)));
+    sum_hi = _mm256_add_epi32(sum_hi, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(s, 1)));
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(colsum), sum_lo);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(colsum + 8), sum_hi);
+}
+
+// ---------------------------------------------------------------------------
+// Range scans.
+
+template <typename T>
+void widen_range(const T* v, int count, std::int32_t* mn, std::int32_t* mx) {
+  for (int i = 0; i < count; ++i) {
+    *mn = std::min<std::int32_t>(*mn, v[i]);
+    *mx = std::max<std::int32_t>(*mx, v[i]);
+  }
+}
+
+void qrange8_avx2(const std::int8_t* x, std::int64_t n, std::int32_t* mn, std::int32_t* mx) {
+  __m256i vmn = _mm256_setzero_si256(), vmx = _mm256_setzero_si256();
+  std::int64_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
+    vmn = _mm256_min_epi8(vmn, v);
+    vmx = _mm256_max_epi8(vmx, v);
+  }
+  alignas(32) std::int8_t lanes[2][32];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[0]), vmn);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[1]), vmx);
+  widen_range(lanes[0], 64, mn, mx);
+  widen_range(x + i, static_cast<int>(n - i), mn, mx);
+}
+
+void qrange16_avx2(const std::int16_t* x, std::int64_t n, std::int32_t* mn, std::int32_t* mx) {
+  __m256i vmn = _mm256_setzero_si256(), vmx = _mm256_setzero_si256();
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
+    vmn = _mm256_min_epi16(vmn, v);
+    vmx = _mm256_max_epi16(vmx, v);
+  }
+  alignas(32) std::int16_t lanes[2][16];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[0]), vmn);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[1]), vmx);
+  widen_range(lanes[0], 32, mn, mx);
+  widen_range(x + i, static_cast<int>(n - i), mn, mx);
+}
+
+// ---------------------------------------------------------------------------
+// int32 store epilogue of one full tile (see QTileStore).
+
+// Low halves of 8 int64 biases (they fit int32 by the caller's bound).
+inline __m256i narrow_bias8(const std::int64_t* b) {
+  const __m256i idx = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  const __m256i lo =
+      _mm256_permutevar8x32_epi32(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(b)), idx);
+  const __m256i hi = _mm256_permutevar8x32_epi32(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + 4)), idx);
+  return _mm256_permute2x128_si256(lo, hi, 0x20);
+}
+
+std::int64_t qstore_tile32_avx2(const std::int32_t* acc, const QTileStore& st,
+                                const std::int64_t* bias_row, const std::int64_t* bias_col,
+                                void* c, std::int64_t ldc) {
+  __m256i bc0 = _mm256_setzero_si256(), bc1 = _mm256_setzero_si256();
+  if (bias_row == nullptr && bias_col != nullptr) {
+    bc0 = narrow_bias8(bias_col);
+    bc1 = narrow_bias8(bias_col + 8);
+  }
+  const __m256i izero = _mm256_setzero_si256();
+  std::int64_t sat = 0;
+  for (int r = 0; r < kQMr; ++r) {
+    __m256i v0 = _mm256_add_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + r * kQNr)), bc0);
+    __m256i v1 = _mm256_add_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + r * kQNr + 8)), bc1);
+    if (bias_row != nullptr) {
+      const __m256i br = _mm256_set1_epi32(static_cast<std::int32_t>(bias_row[r]));
+      v0 = _mm256_add_epi32(v0, br);
+      v1 = _mm256_add_epi32(v1, br);
+    }
+    if (st.shift == 0) {
+      const __m256 scale = _mm256_set1_ps(st.scale);
+      __m256 f0 = _mm256_mul_ps(_mm256_cvtepi32_ps(v0), scale);
+      __m256 f1 = _mm256_mul_ps(_mm256_cvtepi32_ps(v1), scale);
+      if (st.relu) {
+        // max(x, +0) returns the second operand unless x > 0: +0 for
+        // -0 exactly as relu_exact.
+        f0 = _mm256_max_ps(f0, _mm256_setzero_ps());
+        f1 = _mm256_max_ps(f1, _mm256_setzero_ps());
+      }
+      float* crow = static_cast<float*>(c) + r * ldc;
+      _mm256_storeu_ps(crow, f0);
+      _mm256_storeu_ps(crow + 8, f1);
+      continue;
+    }
+    const __m128i count = _mm_cvtsi32_si128(st.shift);
+    const __m256i half = _mm256_set1_epi32(std::int32_t{1} << (st.shift - 1));
+    v0 = _mm256_sra_epi32(_mm256_add_epi32(v0, half), count);
+    v1 = _mm256_sra_epi32(_mm256_add_epi32(v1, half), count);
+    if (st.relu) {
+      v0 = _mm256_max_epi32(v0, izero);
+      v1 = _mm256_max_epi32(v1, izero);
+    }
+    const __m256i vlo = _mm256_set1_epi32(st.lo);
+    const __m256i vhi = _mm256_set1_epi32(st.hi);
+    const __m256i out0 = _mm256_or_si256(_mm256_cmpgt_epi32(v0, vhi), _mm256_cmpgt_epi32(vlo, v0));
+    const __m256i out1 = _mm256_or_si256(_mm256_cmpgt_epi32(v1, vhi), _mm256_cmpgt_epi32(vlo, v1));
+    sat += __builtin_popcount(static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(out0))));
+    sat += __builtin_popcount(static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(out1))));
+    v0 = _mm256_min_epi32(_mm256_max_epi32(v0, vlo), vhi);
+    v1 = _mm256_min_epi32(_mm256_max_epi32(v1, vlo), vhi);
+    // Clamped values fit the output type, so the saturating packs are exact.
+    const __m256i s16 = _mm256_permute4x64_epi64(_mm256_packs_epi32(v0, v1), _MM_SHUFFLE(3, 1, 2, 0));
+    if (st.out_bytes == 2) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(static_cast<std::int16_t*>(c) + r * ldc), s16);
+    } else {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(static_cast<std::int8_t*>(c) + r * ldc),
+                       _mm_packs_epi16(_mm256_castsi256_si128(s16),
+                                       _mm256_extracti128_si256(s16, 1)));
+    }
+  }
+  return sat;
 }
 
 // ---------------------------------------------------------------------------
@@ -335,9 +526,15 @@ const KernelRegistry& avx2_kernel_registry() {
       NR,
       &sgemm_micro_avx2,
       &sgemm_micro_avx2,
-      &qmicro8_madd_avx2,
+      &qmicro_pair32_avx2,
       &qmicro8_maddubs_avx2,
-      &qmicro16_madd_avx2,
+      &qmicro_pair64_avx2,
+      &qpack_pair8_avx2,
+      &qpack_pair16_avx2,
+      &qpack_quad8_avx2,
+      &qrange8_avx2,
+      &qrange16_avx2,
+      &qstore_tile32_avx2,
       &qdot8_avx2,
       &qdot16_avx2,
       &quantize8_avx2,
@@ -355,9 +552,15 @@ const KernelRegistry& avx2_fma_kernel_registry() {
       NR,
       &sgemm_micro_6x16_fma,
       &sgemm_micro_avx2,
-      &qmicro8_madd_avx2,
+      &qmicro_pair32_avx2,
       &qmicro8_maddubs_avx2,
-      &qmicro16_madd_avx2,
+      &qmicro_pair64_avx2,
+      &qpack_pair8_avx2,
+      &qpack_pair16_avx2,
+      &qpack_quad8_avx2,
+      &qrange8_avx2,
+      &qrange16_avx2,
+      &qstore_tile32_avx2,
       &qdot8_avx2,
       &qdot16_avx2,
       &quantize8_avx2,

@@ -5,8 +5,9 @@
 // project-default flags; this entry is the correctness reference and the
 // fallback ISA on every target. The integer function pointers are null:
 // qgemm.cpp's tile driver then runs its PLAIN layout (a generic C++
-// micro-kernel, the integer scalar reference), and the quantize-on-load
-// and GEMV entries fall back to its scalar loops.
+// micro-kernel, the integer scalar reference) with its scalar store
+// epilogue, and the quantize-on-load and GEMV entries fall back to its
+// scalar loops.
 #include "tensor/kernels/kernels_internal.hpp"
 
 namespace mupod {
@@ -57,9 +58,15 @@ const KernelRegistry& scalar_kernel_registry() {
       NR,
       &sgemm_micro_scalar,
       &sgemm_micro_scalar,
-      nullptr,  // qmicro8
+      nullptr,  // qmicro_pair32
       nullptr,  // qmicro8_maddubs
-      nullptr,  // qmicro16
+      nullptr,  // qmicro_pair64
+      nullptr,  // qpack_pair8
+      nullptr,  // qpack_pair16
+      nullptr,  // qpack_quad8
+      nullptr,  // qrange8
+      nullptr,  // qrange16
+      nullptr,  // qstore_tile32
       nullptr,  // qdot8
       nullptr,  // qdot16
       nullptr,  // quantize8

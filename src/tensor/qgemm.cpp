@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "obs/metrics.hpp"
 #include "tensor/gemm.hpp"
@@ -16,6 +17,9 @@ namespace {
 
 // Same pool-dispatch crossover as the float GEMM.
 constexpr std::int64_t kSerialMacCutoff = 1 << 16;
+// k-rows a B packer takes per call: a multiple of every layout's unit,
+// small enough for the row buffer to live on the packing thread's stack.
+constexpr std::int64_t kPackRows = 64;
 
 inline std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
@@ -52,12 +56,6 @@ void report_requant_sat(std::int64_t total_sat, const QGemmEpilogue& ep) {
     if (ep.saturated != nullptr) ep.saturated->fetch_add(total_sat, std::memory_order_relaxed);
     if (metrics_enabled()) qgemm_counters().requant_saturated->add(total_sat);
   }
-}
-
-template <typename T>
-inline T load_b_elem(const T* b, std::int64_t ldb, bool trans_b, std::int64_t kk,
-                     std::int64_t j) {
-  return trans_b ? b[j * ldb + kk] : b[kk * ldb + j];
 }
 
 // Epilogue: bias in accumulator scale, then either dequantized float
@@ -105,8 +103,10 @@ std::int64_t store_tile(const Acc acc[kQMr][kQNr], std::int64_t i0, std::int64_t
 //                   unit kUnitK * kQNr BPacks;
 //   kUnitK          k values per unit (odd tails are padded);
 //   kColsums        whether pack_b also writes the strip's column sums;
-//   pack_a/pack_b   the packers (edges padded so the micro-kernel never
-//                   branches on tile size);
+//   pack_a          packs a kQMr-row A strip (edge rows zero-padded);
+//   pack_b          packs a B strip from its k-rows (rows[kk] points at
+//                   kQNr values, edge columns already zero — see the B
+//                   views below);
 //   init            the accumulator tile before the micro-kernel;
 //   micro           accumulates `units` k-units into the tile.
 // Byte-exact definitions of the SIMD layouts: kernels.hpp and
@@ -136,23 +136,8 @@ struct PlainLayout {
     }
   }
 
-  static void pack_b(const T* b, std::int64_t ldb, bool trans_b, std::int64_t j0, int nr_cur,
-                     std::int64_t k, T* bp, std::int32_t* /*colsum*/) {
-    if (!trans_b) {
-      const T* src = b + j0;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        int c = 0;
-        for (; c < nr_cur; ++c) bp[kk * kQNr + c] = src[kk * ldb + c];
-        for (; c < kQNr; ++c) bp[kk * kQNr + c] = T(0);
-      }
-      return;
-    }
-    for (int c = 0; c < nr_cur; ++c) {
-      const T* src = b + (j0 + c) * ldb;
-      for (std::int64_t kk = 0; kk < k; ++kk) bp[kk * kQNr + c] = src[kk];
-    }
-    for (int c = nr_cur; c < kQNr; ++c)
-      for (std::int64_t kk = 0; kk < k; ++kk) bp[kk * kQNr + c] = T(0);
+  void pack_b(std::int64_t k, const T* const* rows, T* bp, std::int32_t* /*colsum*/) const {
+    for (std::int64_t kk = 0; kk < k; ++kk) std::copy_n(rows[kk], kQNr, bp + kk * kQNr);
   }
 
   static void init(Acc acc[kQMr][kQNr], const std::int32_t* /*colsum*/) {
@@ -172,10 +157,12 @@ struct PlainLayout {
   }
 };
 
-// k-PAIR (qmicro8 / qmicro16, exact for all inputs but an int16 B holding
-// -32768). A pairs go into int32s (two int16 halves, low = even k); B
-// pairs are interleaved int16 per column. Odd-k and edge padding is zero,
-// which contributes nothing to any dot product.
+// k-PAIR (qmicro_pair32 / qmicro_pair64). A pairs go into int32s (two
+// int16 halves, low = even k); B pairs are interleaved int16 per column
+// (the registry's qpack_pair8/16). Odd-k and edge padding is zero, which
+// contributes nothing to any dot product. Int32 accumulators are exact
+// for int8 operands and for int16 calls within the proven bound; int64
+// ones for int16 calls whose B holds no -32768.
 template <typename T, typename AccT>
 struct PairLayout {
   using Elem = T;
@@ -186,6 +173,7 @@ struct PairLayout {
   static constexpr bool kColsums = false;
 
   void (*kernel)(std::int64_t, const std::int32_t*, const std::int16_t*, Acc*);
+  void (*pack)(std::int64_t, const T* const*, std::int16_t*);
 
   static void pack_a(const T* a, std::int64_t lda, std::int64_t i0, int mr_cur, std::int64_t k,
                      std::int32_t* ap) {
@@ -206,22 +194,9 @@ struct PairLayout {
     }
   }
 
-  static void pack_b(const T* b, std::int64_t ldb, bool trans_b, std::int64_t j0, int nr_cur,
-                     std::int64_t k, std::int16_t* bp, std::int32_t* /*colsum*/) {
-    const std::int64_t kp = (k + 1) / 2;
-    for (std::int64_t p = 0; p < kp; ++p) {
-      std::int16_t* dst = bp + p * 2 * kQNr;
-      for (int c = 0; c < kQNr; ++c) {
-        std::int16_t e0 = 0, e1 = 0;
-        if (c < nr_cur) {
-          e0 = static_cast<std::int16_t>(load_b_elem(b, ldb, trans_b, 2 * p, j0 + c));
-          if (2 * p + 1 < k)
-            e1 = static_cast<std::int16_t>(load_b_elem(b, ldb, trans_b, 2 * p + 1, j0 + c));
-        }
-        dst[2 * c] = e0;
-        dst[2 * c + 1] = e1;
-      }
-    }
+  void pack_b(std::int64_t k, const T* const* rows, std::int16_t* bp,
+              std::int32_t* /*colsum*/) const {
+    pack(k, rows, bp);
   }
 
   static void init(Acc acc[kQMr][kQNr], const std::int32_t* /*colsum*/) {
@@ -237,9 +212,9 @@ struct PairLayout {
 // k-QUAD (qmicro8_maddubs, int8 only, legal when every |b| <= 64 and
 // k <= 2^16). A bytes carry the +128 offset (the u8 side of vpmaddubsw);
 // padding is 128 == offset-domain zero. B bytes are plain int8,
-// zero-padded; colsum[c] accumulates the strip's true column sums, and the
-// accumulator starts at -128 * colsum so the offset (padded rows included)
-// cancels exactly.
+// zero-padded (the registry's qpack_quad8); colsum[c] holds the strip's
+// true column sums, and the accumulator starts at -128 * colsum so the
+// offset (padded rows included) cancels exactly.
 struct QuadLayout {
   using Elem = std::int8_t;
   using Acc = std::int32_t;
@@ -249,6 +224,7 @@ struct QuadLayout {
   static constexpr bool kColsums = true;
 
   void (*kernel)(std::int64_t, const std::int32_t*, const std::int8_t*, std::int32_t*);
+  void (*pack)(std::int64_t, const std::int8_t* const*, std::int8_t*, std::int32_t*);
 
   static void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t i0, int mr_cur,
                      std::int64_t k, std::int32_t* ap) {
@@ -268,24 +244,9 @@ struct QuadLayout {
     }
   }
 
-  static void pack_b(const std::int8_t* b, std::int64_t ldb, bool trans_b, std::int64_t j0,
-                     int nr_cur, std::int64_t k, std::int8_t* bp, std::int32_t* colsum) {
-    const std::int64_t kq = (k + 3) / 4;
-    for (int c = 0; c < kQNr; ++c) colsum[c] = 0;
-    for (std::int64_t q = 0; q < kq; ++q) {
-      std::int8_t* dst = bp + q * 4 * kQNr;
-      for (int c = 0; c < kQNr; ++c) {
-        for (int t = 0; t < 4; ++t) {
-          const std::int64_t kk = 4 * q + t;
-          std::int8_t v = 0;
-          if (c < nr_cur && kk < k) {
-            v = load_b_elem(b, ldb, trans_b, kk, j0 + c);
-            colsum[c] += v;
-          }
-          dst[c * 4 + t] = v;
-        }
-      }
-    }
+  void pack_b(std::int64_t k, const std::int8_t* const* rows, std::int8_t* bp,
+              std::int32_t* colsum) const {
+    pack(k, rows, bp, colsum);
   }
 
   static void init(Acc acc[kQMr][kQNr], const std::int32_t* colsum) {
@@ -300,20 +261,187 @@ struct QuadLayout {
 };
 
 // ---------------------------------------------------------------------------
-// The tile driver, one for every layout. Unlike the float GEMM there are
-// no KC/MC/NC cache blocks: a tile task owns its kQMr x kQNr output tile
-// for the FULL k extent (the requantize epilogue needs the complete
-// accumulator) and touches C exactly once, in store_tile. All of B is
-// packed once into the calling thread's arena (strip-major, full-k
-// strips, column sums behind them); tasks walk the tiles row-of-tiles
+// B views: where the packers read B from. rows() points rows[kk - kb] at
+// the kQNr values of k-row kk in [kb, ke) of the strip at column j0 —
+// straight into B where those values are contiguous, else gathered into
+// tmp ((ke - kb + 1) x kQNr, zero beyond nr_cur). range() widens
+// [*mn, *mx] over every value B can hold with the registry's SIMD scan;
+// column() returns B as one contiguous column for the n == 1 GEMV.
+
+template <typename T>
+using RangeFn = void (*)(const T*, std::int64_t, std::int32_t*, std::int32_t*);
+
+// A row-major k x n matrix, or with trans_b its n x k transpose.
+template <typename T>
+struct MatrixB {
+  const T* b;
+  std::int64_t ldb;
+  bool trans_b;
+  std::int64_t n, k;
+
+  void rows(std::int64_t j0, int nr_cur, std::int64_t kb, std::int64_t ke, const T** rows,
+            T* tmp) const {
+    for (std::int64_t kk = kb; kk < ke; ++kk) {
+      if (!trans_b && nr_cur == kQNr) {
+        rows[kk - kb] = b + kk * ldb + j0;
+        continue;
+      }
+      T* dst = tmp + (kk - kb) * kQNr;
+      int c = 0;
+      for (; c < nr_cur; ++c) dst[c] = trans_b ? b[(j0 + c) * ldb + kk] : b[kk * ldb + j0 + c];
+      for (; c < kQNr; ++c) dst[c] = T(0);
+      rows[kk - kb] = dst;
+    }
+  }
+
+  void range(RangeFn<T> scan, std::int32_t* mn, std::int32_t* mx) const {
+    const std::int64_t n_rows = trans_b ? n : k;
+    const std::int64_t cols = trans_b ? k : n;
+    if (ldb == cols) {
+      scan(b, n_rows * cols, mn, mx);
+      return;
+    }
+    for (std::int64_t i = 0; i < n_rows; ++i) scan(b + i * ldb, cols, mn, mx);
+  }
+
+  const T* column(T* buf) const {
+    const std::int64_t stride = trans_b ? 1 : ldb;
+    if (stride == 1) return b;
+    for (std::int64_t kk = 0; kk < k; ++kk) buf[kk] = b[kk * stride];
+    return buf;
+  }
+};
+
+// The patch matrix of one convolution image group (QPatchB):
+// B[(ic, kh, kw)][(oh, ow)] = x[ic][oh*s - pad + kh][ow*s - pad + kw].
+// The packers read it from xp, a zero-bordered copy of the image built
+// once per call (qcol slot): hp = H + 2*pad rows of wp = W + 2*pad + kQNr
+// values, so every tap of a strip indexes inside it and the padding
+// reads as zeros. A full strip of a stride-1 conv that stays in one
+// output row points straight into xp; other strips gather one run per
+// output row.
+template <typename T>
+struct PatchB {
+  const T* x;
+  QPatchB p;
+  const T* xp = nullptr;
+  std::int64_t hp = 0, wp = 0;
+
+  PatchB(const T* image, const QPatchB& patches) : x(image), p(patches) {
+    hp = p.height + 2 * p.pad;
+    wp = p.width + 2 * p.pad + kQNr;
+    const std::int64_t count = p.channels * hp * wp;
+    T* pad = reinterpret_cast<T*>(
+        GemmScratch::local().qcol(static_cast<std::size_t>(count) * sizeof(T)));
+    std::fill_n(pad, count, T(0));
+    const T* src = x;
+    for (int ic = 0; ic < p.channels; ++ic)
+      for (int ih = 0; ih < p.height; ++ih, src += p.width)
+        std::copy_n(src, p.width, pad + (ic * hp + ih + p.pad) * wp + p.pad);
+    xp = pad;
+  }
+
+  void rows(std::int64_t j0, int nr_cur, std::int64_t kb, std::int64_t ke, const T** rows,
+            T* tmp) const {
+    // The strip's columns as runs along output rows: run r covers strip
+    // columns [off, off + len) at output row oh, from output column ow.
+    struct Run {
+      int oh, ow, off, len;
+    };
+    Run runs[kQNr];
+    int n_runs = 0;
+    for (int off = 0; off < nr_cur;) {
+      const std::int64_t j = j0 + off;
+      const int oh = static_cast<int>(j / p.out_w);
+      const int ow = static_cast<int>(j % p.out_w);
+      const int len = std::min(p.out_w - ow, nr_cur - off);
+      runs[n_runs++] = {oh, ow, off, len};
+      off += len;
+    }
+    // Run r's output (oh, ow) reads xp from base[r] + tap offset, the tap
+    // (ic, kh, kw) of k-row kk sitting at (ic*hp + kh)*wp + kw; the
+    // offset is stepped along kk without divisions.
+    const T* base[kQNr];
+    for (int r = 0; r < n_runs; ++r)
+      base[r] = xp + static_cast<std::int64_t>(runs[r].oh) * p.stride * wp +
+                static_cast<std::int64_t>(runs[r].ow) * p.stride;
+    const bool direct = n_runs == 1 && nr_cur == kQNr && p.stride == 1;
+    const int taps = p.kernel_h * p.kernel_w;
+    std::int64_t ic = kb / taps;
+    int kh = static_cast<int>(kb % taps) / p.kernel_w;
+    int kw = static_cast<int>(kb % taps) % p.kernel_w;
+    std::int64_t off = (ic * hp + kh) * wp + kw;
+    for (std::int64_t kk = kb; kk < ke; ++kk) {
+      if (direct) {
+        rows[kk - kb] = base[0] + off;
+      } else {
+        T* dst = tmp + (kk - kb) * kQNr;
+        for (int r = 0; r < n_runs; ++r) {
+          const T* src = base[r] + off;
+          if (p.stride == 1) {
+            // A fixed kQNr copy (xp rows carry kQNr of slack); what
+            // spills past the run is overwritten by the next run, the
+            // next row or lands in tmp's spare row.
+            std::copy_n(src, kQNr, dst + runs[r].off);
+          } else {
+            for (int t = 0; t < runs[r].len; ++t) dst[runs[r].off + t] = src[t * p.stride];
+          }
+        }
+        std::fill(dst + nr_cur, dst + kQNr, T(0));
+        rows[kk - kb] = dst;
+      }
+      if (++kw < p.kernel_w) {
+        ++off;
+        continue;
+      }
+      kw = 0;
+      if (++kh == p.kernel_h) {
+        kh = 0;
+        ++ic;
+      }
+      off = (ic * hp + kh) * wp;
+    }
+  }
+
+  // A patch holds only image values and zeros.
+  void range(RangeFn<T> scan, std::int32_t* mn, std::int32_t* mx) const {
+    scan(x, static_cast<std::int64_t>(p.channels) * p.height * p.width, mn, mx);
+  }
+
+  const T* column(T* buf) const {
+    std::int64_t kk = 0;
+    for (int ic = 0; ic < p.channels; ++ic)
+      for (int kh = 0; kh < p.kernel_h; ++kh)
+        for (int kw = 0; kw < p.kernel_w; ++kw, ++kk)
+          buf[kk] = xp[(ic * hp + kh) * wp + kw];
+    return buf;
+  }
+};
+
+// The SIMD store of a call whose int32 accumulators are proven exact.
+struct SimdStore {
+  std::int64_t (*fn)(const std::int32_t*, const QTileStore&, const std::int64_t*,
+                     const std::int64_t*, void*, std::int64_t);
+  QTileStore st;
+};
+
+// ---------------------------------------------------------------------------
+// The tile driver, one for every layout and B view. Unlike the float GEMM
+// there are no KC/MC/NC cache blocks: a tile task owns its kQMr x kQNr
+// output tile for the FULL k extent (the requantize epilogue needs the
+// complete accumulator) and touches C exactly once, in the store. All of
+// B is packed once into the calling thread's arena (strip-major, full-k
+// strips, column sums behind them). Tasks walk the tiles row-of-tiles
 // major, so a contiguous chunk packs each A strip once and reuses it
 // across its run of B strips. Integer addition is exact and associative,
-// so the result is independent of worker count and chunking.
-template <typename L>
+// so the result is independent of worker count and chunking. Full tiles
+// store through `simd` when given (int32 accumulators only), every other
+// tile through store_tile.
+template <typename L, typename V>
 void qgemm_tiles(const L& layout, std::int64_t m, std::int64_t n, std::int64_t k,
-                 const typename L::Elem* a, std::int64_t lda, const typename L::Elem* b,
-                 std::int64_t ldb, void* c, std::int64_t ldc, const QGemmEpilogue& ep,
-                 bool trans_b) {
+                 const typename L::Elem* a, std::int64_t lda, const V& bv, void* c,
+                 std::int64_t ldc, const QGemmEpilogue& ep, const SimdStore* simd) {
+  using Elem = typename L::Elem;
   using APack = typename L::APack;
   using BPack = typename L::BPack;
   using Acc = typename L::Acc;
@@ -337,10 +465,20 @@ void qgemm_tiles(const L& layout, std::int64_t m, std::int64_t n, std::int64_t k
                        : nullptr;
   };
   const auto pack_b_range = [&](std::int64_t sb, std::int64_t se) {
+    // A strip is packed kPackRows k-rows at a time: their pointers, and
+    // the gathered rows (plus one spare) they may point into.
+    const Elem* rows[kPackRows];
+    alignas(32) Elem tmp[(kPackRows + 1) * kQNr];
     for (std::int64_t js = sb; js < se; ++js) {
       const std::int64_t j0 = js * kQNr;
       const int nr_cur = static_cast<int>(std::min<std::int64_t>(kQNr, n - j0));
-      L::pack_b(b, ldb, trans_b, j0, nr_cur, k, bp + js * b_strip, colsum(js));
+      std::int32_t* cs = colsum(js);
+      if (cs != nullptr) std::fill_n(cs, kQNr, 0);
+      for (std::int64_t kb = 0; kb < k; kb += kPackRows) {
+        const std::int64_t ke = std::min<std::int64_t>(k, kb + kPackRows);
+        bv.rows(j0, nr_cur, kb, ke, rows, tmp);
+        layout.pack_b(ke - kb, rows, bp + js * b_strip + kb * kQNr, cs);
+      }
     }
   };
   if (par && n_js >= 4)
@@ -368,7 +506,18 @@ void qgemm_tiles(const L& layout, std::int64_t m, std::int64_t n, std::int64_t k
       alignas(32) Acc acc[kQMr][kQNr];
       L::init(acc, colsum(js));
       layout.micro(units, ap, bp + js * b_strip, acc);
-      local_sat += store_tile<typename L::Elem>(acc, i0, j0, mr_cur, nr_cur, c, ldc, ep);
+      if constexpr (std::is_same_v<Acc, std::int32_t>) {
+        if (simd != nullptr && mr_cur == kQMr && nr_cur == kQNr) {
+          const std::int64_t off = i0 * ldc + j0;
+          void* ct = ep.quant_store ? static_cast<void*>(static_cast<Elem*>(c) + off)
+                                    : static_cast<void*>(static_cast<float*>(c) + off);
+          local_sat += simd->fn(&acc[0][0], simd->st,
+                                ep.bias_row != nullptr ? ep.bias_row + i0 : nullptr,
+                                ep.bias_col != nullptr ? ep.bias_col + j0 : nullptr, ct, ldc);
+          continue;
+        }
+      }
+      local_sat += store_tile<Elem>(acc, i0, j0, mr_cur, nr_cur, c, ldc, ep);
     }
     if (local_sat != 0) sat.fetch_add(local_sat, std::memory_order_relaxed);
   };
@@ -405,40 +554,60 @@ std::int64_t quantize_to_t(const float* x, std::int64_t n, double step, std::int
 // SIMD dispatch (tensor/kernels/). Saturation/overflow analysis of the
 // kernels: docs/method.md §16.
 
-// Min/max over the used region of B. One streaming pass, cheap next to
-// the m*n*k multiply-accumulates it gates.
-template <typename T>
-void scan_b_range(const T* b, std::int64_t ldb, bool trans_b, std::int64_t n, std::int64_t k,
-                  std::int32_t* min_out, std::int32_t* max_out) {
-  std::int32_t mn = 0, mx = 0;
-  const std::int64_t rows = trans_b ? n : k;
-  const std::int64_t cols = trans_b ? k : n;
-  for (std::int64_t i = 0; i < rows; ++i) {
-    const T* row = b + i * ldb;
-    for (std::int64_t j = 0; j < cols; ++j) {
-      const std::int32_t v = static_cast<std::int32_t>(row[j]);
-      mn = std::min(mn, v);
-      mx = std::max(mx, v);
-    }
-  }
-  *min_out = mn;
-  *max_out = mx;
+// The shift t of a power-of-two requantize store (multiplier 2^30, the
+// only shape the graph compiler emits) when 1 <= t <= 30; else 0.
+int pow2_requant_shift(const QGemmEpilogue& ep) {
+  if (!ep.quant_store || ep.requant.multiplier != (std::int32_t{1} << 30)) return 0;
+  const int t = ep.requant.shift + 1;
+  return t >= 1 && t <= 30 ? t : 0;
 }
 
-// GEMV (n == 1): per-row dot products over contiguous memory, no packing.
-// Strided x (ldb != 1 without trans_b) is compacted into scratch first.
-template <typename T, typename Acc, typename DotFn>
-void qgemv_simd(std::int64_t m, std::int64_t k, const T* a, std::int64_t lda, const T* b,
-                std::int64_t ldb, bool trans_b, void* c, std::int64_t ldc,
-                const QGemmEpilogue& ep, DotFn dot) {
-  const std::int64_t x_stride = trans_b ? 1 : ldb;
-  const T* x = b;
-  if (x_stride != 1) {
-    T* xbuf = reinterpret_cast<T*>(
-        GemmScratch::local().qb(static_cast<std::size_t>(k) * sizeof(T)));
-    for (std::int64_t kk = 0; kk < k; ++kk) xbuf[kk] = b[kk * x_stride];
-    x = xbuf;
+// Whether every int32 intermediate of the call is exact: each partial
+// sum is bounded by k * max|A| * max|B|, the bias adds at most bias_max
+// and the requantize rounding 2^(t-1). Unknown operand bounds (a_max 0)
+// prove nothing.
+bool acc32_exact(const QGemmEpilogue& ep, std::int64_t k, std::int32_t bmin,
+                 std::int32_t bmax) {
+  if (ep.a_max <= 0) return false;
+  const std::int64_t b_abs = std::max(-static_cast<std::int64_t>(bmin), std::int64_t{bmax});
+  const int t = pow2_requant_shift(ep);
+  const __int128 bound = static_cast<__int128>(k) * ep.a_max * b_abs + ep.bias_max +
+                         (t > 0 ? std::int64_t{1} << (t - 1) : 0);
+  return bound < (static_cast<__int128>(1) << 31);
+}
+
+// The registry's int32 store for this epilogue, or false when it has no
+// SIMD form: a dequantize scale must be a power of two in [2^-126, 2^96]
+// (float(v) * scale then equals float(double(v) * scale) for every int32
+// v: int->float rounds once either way and the product stays normal),
+// a requantize must be the power-of-two multiplier with its clamp inside
+// the output type.
+template <typename T>
+bool simd_store_for(const KernelRegistry& reg, const QGemmEpilogue& ep, SimdStore* out) {
+  if (reg.qstore_tile32 == nullptr) return false;
+  QTileStore st;
+  st.relu = ep.relu;
+  if (!ep.quant_store) {
+    int e = 0;
+    if (std::frexp(ep.scale, &e) != 0.5 || e - 1 < -126 || e - 1 > 96) return false;
+    st.scale = static_cast<float>(ep.scale);
+  } else {
+    st.shift = pow2_requant_shift(ep);
+    if (st.shift == 0 || ep.lo < std::numeric_limits<T>::min() ||
+        ep.hi > std::numeric_limits<T>::max())
+      return false;
+    st.lo = ep.lo;
+    st.hi = ep.hi;
+    st.out_bytes = static_cast<int>(sizeof(T));
   }
+  *out = SimdStore{reg.qstore_tile32, st};
+  return true;
+}
+
+// GEMV (n == 1): per-row dot products over a contiguous x, no packing.
+template <typename T, typename Acc, typename DotFn>
+void qgemv_simd(std::int64_t m, std::int64_t k, const T* a, std::int64_t lda, const T* x,
+                void* c, std::int64_t ldc, const QGemmEpilogue& ep, DotFn dot) {
   const bool par = 2 * m * k >= kSerialMacCutoff;
   std::atomic<std::int64_t> sat{0};
   const auto row_range = [&](std::int64_t rb, std::int64_t re) {
@@ -457,65 +626,111 @@ void qgemv_simd(std::int64_t m, std::int64_t k, const T* a, std::int64_t lda, co
   report_requant_sat(sat.load(std::memory_order_relaxed), ep);
 }
 
+// B as one contiguous column for the GEMV (compacted into qb if needed).
+template <typename T, typename V>
+const T* gemv_column(const V& bv, std::int64_t k) {
+  return bv.column(
+      reinterpret_cast<T*>(GemmScratch::local().qb(static_cast<std::size_t>(k) * sizeof(T))));
+}
+
 // Top-level SIMD dispatch per type. Returns false when the plain layout
 // should run (scalar registry, k == 0, or an input pattern a SIMD kernel
 // cannot handle exactly).
+template <typename V>
 bool qgemm8_simd(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
-                 std::int64_t lda, const std::int8_t* b, std::int64_t ldb, void* c,
-                 std::int64_t ldc, const QGemmEpilogue& ep, bool trans_b) {
+                 std::int64_t lda, const V& bv, void* c, std::int64_t ldc,
+                 const QGemmEpilogue& ep) {
   const KernelRegistry& reg = kernel_registry();
   if (k <= 0) return false;
   if (n == 1 && reg.qdot8 != nullptr) {
     count_qgemm_kernel(&QGemmCounters::k_gemv);
-    qgemv_simd<std::int8_t, std::int32_t>(m, k, a, lda, b, ldb, trans_b, c, ldc, ep, reg.qdot8);
+    qgemv_simd<std::int8_t, std::int32_t>(m, k, a, lda, gemv_column<std::int8_t>(bv, k), c, ldc,
+                                          ep, reg.qdot8);
     return true;
   }
-  if (reg.qmicro8 == nullptr) return false;
-  if (reg.qmicro8_maddubs != nullptr && k <= (std::int64_t{1} << 16)) {
-    // vpmaddubsw fast path: safe only when every |b| <= 64 (no 16-bit
-    // saturation) — true for plans whose B-side format is <= 7 bits.
-    std::int32_t bmin = 0, bmax = 0;
-    scan_b_range(b, ldb, trans_b, n, k, &bmin, &bmax);
-    if (bmin >= -64 && bmax <= 64) {
-      count_qgemm_kernel(&QGemmCounters::k_maddubs);
-      qgemm_tiles(QuadLayout{reg.qmicro8_maddubs}, m, n, k, a, lda, b, ldb, c, ldc, ep, trans_b);
-      return true;
-    }
+  if (reg.qmicro_pair32 == nullptr) return false;
+  std::int32_t bmin = 0, bmax = 0;
+  bv.range(reg.qrange8, &bmin, &bmax);
+  SimdStore store;
+  const SimdStore* simd =
+      acc32_exact(ep, k, bmin, bmax) && simd_store_for<std::int8_t>(reg, ep, &store) ? &store
+                                                                                     : nullptr;
+  // vpmaddubsw fast path: safe only when every |b| <= 64 (no 16-bit
+  // saturation) — true for plans whose B-side format is <= 7 bits.
+  if (reg.qmicro8_maddubs != nullptr && k <= (std::int64_t{1} << 16) && bmin >= -64 &&
+      bmax <= 64) {
+    count_qgemm_kernel(&QGemmCounters::k_maddubs);
+    qgemm_tiles(QuadLayout{reg.qmicro8_maddubs, reg.qpack_quad8}, m, n, k, a, lda, bv, c, ldc,
+                ep, simd);
+    return true;
   }
   count_qgemm_kernel(&QGemmCounters::k_madd);
-  qgemm_tiles(PairLayout<std::int8_t, std::int32_t>{reg.qmicro8}, m, n, k, a, lda, b, ldb, c,
-              ldc, ep, trans_b);
+  qgemm_tiles(PairLayout<std::int8_t, std::int32_t>{reg.qmicro_pair32, reg.qpack_pair8}, m, n, k,
+              a, lda, bv, c, ldc, ep, simd);
   return true;
 }
 
+template <typename V>
 bool qgemm16_simd(std::int64_t m, std::int64_t n, std::int64_t k, const std::int16_t* a,
-                  std::int64_t lda, const std::int16_t* b, std::int64_t ldb, void* c,
-                  std::int64_t ldc, const QGemmEpilogue& ep, bool trans_b) {
+                  std::int64_t lda, const V& bv, void* c, std::int64_t ldc,
+                  const QGemmEpilogue& ep) {
   const KernelRegistry& reg = kernel_registry();
   if (k <= 0) return false;
   // The single vpmaddwd overflow case needs a (-32768, -32768) pair in
   // BOTH operands; excluding -32768 from the B side makes it unreachable.
   if (n == 1 && reg.qdot16 != nullptr) {
-    const std::int64_t x_stride = trans_b ? 1 : ldb;
-    bool has_min = false;
-    for (std::int64_t kk = 0; kk < k && !has_min; ++kk)
-      has_min = b[kk * x_stride] == std::numeric_limits<std::int16_t>::min();
-    if (!has_min) {
-      count_qgemm_kernel(&QGemmCounters::k_gemv);
-      qgemv_simd<std::int16_t, std::int64_t>(m, k, a, lda, b, ldb, trans_b, c, ldc, ep,
-                                             reg.qdot16);
-      return true;
-    }
-    return false;
+    const std::int16_t* x = gemv_column<std::int16_t>(bv, k);
+    if (std::find(x, x + k, std::numeric_limits<std::int16_t>::min()) != x + k) return false;
+    count_qgemm_kernel(&QGemmCounters::k_gemv);
+    qgemv_simd<std::int16_t, std::int64_t>(m, k, a, lda, x, c, ldc, ep, reg.qdot16);
+    return true;
   }
-  if (reg.qmicro16 == nullptr) return false;
+  if (reg.qmicro_pair64 == nullptr) return false;
   std::int32_t bmin = 0, bmax = 0;
-  scan_b_range(b, ldb, trans_b, n, k, &bmin, &bmax);
+  bv.range(reg.qrange16, &bmin, &bmax);
+  if (acc32_exact(ep, k, bmin, bmax)) {
+    // The bound also excludes the -32768 corner: it needs |a| = |b| = 2^15
+    // in a full pair, i.e. k * a_max * max|B| >= 2^31.
+    SimdStore store;
+    const bool simd = simd_store_for<std::int16_t>(reg, ep, &store);
+    count_qgemm_kernel(&QGemmCounters::k_madd);
+    qgemm_tiles(PairLayout<std::int16_t, std::int32_t>{reg.qmicro_pair32, reg.qpack_pair16}, m,
+                n, k, a, lda, bv, c, ldc, ep, simd ? &store : nullptr);
+    return true;
+  }
   if (bmin == std::numeric_limits<std::int16_t>::min()) return false;
   count_qgemm_kernel(&QGemmCounters::k_madd);
-  qgemm_tiles(PairLayout<std::int16_t, std::int64_t>{reg.qmicro16}, m, n, k, a, lda, b, ldb, c,
-              ldc, ep, trans_b);
+  qgemm_tiles(PairLayout<std::int16_t, std::int64_t>{reg.qmicro_pair64, reg.qpack_pair16}, m, n,
+              k, a, lda, bv, c, ldc, ep, nullptr);
   return true;
+}
+
+// One call of any operand type with B behind view V: the SIMD layouts
+// when the registry and the input allow, else the plain layout.
+template <typename T, typename V>
+void qgemm_typed(std::int64_t m, std::int64_t n, std::int64_t k, const T* a, std::int64_t lda,
+                 const V& bv, void* c, std::int64_t ldc, const QGemmEpilogue& ep) {
+  if (metrics_enabled()) {
+    QGemmCounters& qc = qgemm_counters();
+    qc.calls->add(1);
+    qc.macs->add(m * n * k);
+    qc.tiles->add(ceil_div(m, kQMr) * ceil_div(n, kQNr));
+  }
+  if constexpr (std::is_same_v<T, std::int8_t>) {
+    // int8 x int8 products are < 2^14, so int32 accumulation is exact
+    // for any k < 2^17 — far beyond any layer this pipeline lowers.
+    // The SIMD layouts compute identical bits (kernels.hpp contract); the
+    // plain layout is the scalar ISA and the fallback.
+    if (qgemm8_simd(m, n, k, a, lda, bv, c, ldc, ep)) return;
+    count_qgemm_kernel(&QGemmCounters::k_scalar);
+    qgemm_tiles(PlainLayout<std::int8_t, std::int32_t>{}, m, n, k, a, lda, bv, c, ldc, ep,
+                nullptr);
+  } else {
+    if constexpr (std::is_same_v<T, std::int16_t>)
+      if (qgemm16_simd(m, n, k, a, lda, bv, c, ldc, ep)) return;
+    count_qgemm_kernel(&QGemmCounters::k_scalar);
+    qgemm_tiles(PlainLayout<T, std::int64_t>{}, m, n, k, a, lda, bv, c, ldc, ep, nullptr);
+  }
 }
 
 }  // namespace
@@ -601,42 +816,42 @@ void qgemm(QType type, std::int64_t m, std::int64_t n, std::int64_t k,
            void* c, std::int64_t ldc, const QGemmEpilogue& ep, bool trans_b) {
   if (m <= 0 || n <= 0) return;
   if (k < 0) k = 0;
-
-  if (metrics_enabled()) {
-    QGemmCounters& qc = qgemm_counters();
-    qc.calls->add(1);
-    qc.macs->add(m * n * k);
-    qc.tiles->add(ceil_div(m, kQMr) * ceil_div(n, kQNr));
-  }
-
   switch (type) {
     case QType::kInt8:
-      // int8 x int8 products are < 2^14, so int32 accumulation is exact
-      // for any k < 2^17 — far beyond any layer this pipeline lowers.
-      // The SIMD layouts compute identical bits (kernels.hpp contract); the
-      // plain layout is the scalar ISA and the fallback.
-      if (qgemm8_simd(m, n, k, static_cast<const std::int8_t*>(a), lda,
-                      static_cast<const std::int8_t*>(b), ldb, c, ldc, ep, trans_b))
-        return;
-      count_qgemm_kernel(&QGemmCounters::k_scalar);
-      qgemm_tiles(PlainLayout<std::int8_t, std::int32_t>{}, m, n, k,
-                  static_cast<const std::int8_t*>(a), lda, static_cast<const std::int8_t*>(b), ldb,
-                  c, ldc, ep, trans_b);
+      qgemm_typed(m, n, k, static_cast<const std::int8_t*>(a), lda,
+                  MatrixB<std::int8_t>{static_cast<const std::int8_t*>(b), ldb, trans_b, n, k}, c,
+                  ldc, ep);
       break;
     case QType::kInt16:
-      if (qgemm16_simd(m, n, k, static_cast<const std::int16_t*>(a), lda,
-                       static_cast<const std::int16_t*>(b), ldb, c, ldc, ep, trans_b))
-        return;
-      count_qgemm_kernel(&QGemmCounters::k_scalar);
-      qgemm_tiles(PlainLayout<std::int16_t, std::int64_t>{}, m, n, k,
-                  static_cast<const std::int16_t*>(a), lda, static_cast<const std::int16_t*>(b),
-                  ldb, c, ldc, ep, trans_b);
+      qgemm_typed(m, n, k, static_cast<const std::int16_t*>(a), lda,
+                  MatrixB<std::int16_t>{static_cast<const std::int16_t*>(b), ldb, trans_b, n, k},
+                  c, ldc, ep);
       break;
     case QType::kInt32:
-      count_qgemm_kernel(&QGemmCounters::k_scalar);
-      qgemm_tiles(PlainLayout<std::int32_t, std::int64_t>{}, m, n, k,
-                  static_cast<const std::int32_t*>(a), lda, static_cast<const std::int32_t*>(b),
-                  ldb, c, ldc, ep, trans_b);
+      qgemm_typed(m, n, k, static_cast<const std::int32_t*>(a), lda,
+                  MatrixB<std::int32_t>{static_cast<const std::int32_t*>(b), ldb, trans_b, n, k},
+                  c, ldc, ep);
+      break;
+  }
+}
+
+void qgemm_patches(QType type, std::int64_t m, const void* a, std::int64_t lda,
+                   const QPatchB& b, void* c, std::int64_t ldc, const QGemmEpilogue& ep) {
+  const std::int64_t n = static_cast<std::int64_t>(b.out_h) * b.out_w;
+  const std::int64_t k = static_cast<std::int64_t>(b.channels) * b.kernel_h * b.kernel_w;
+  if (m <= 0 || n <= 0) return;
+  switch (type) {
+    case QType::kInt8:
+      qgemm_typed(m, n, k, static_cast<const std::int8_t*>(a), lda,
+                  PatchB<std::int8_t>(static_cast<const std::int8_t*>(b.image), b), c, ldc, ep);
+      break;
+    case QType::kInt16:
+      qgemm_typed(m, n, k, static_cast<const std::int16_t*>(a), lda,
+                  PatchB<std::int16_t>(static_cast<const std::int16_t*>(b.image), b), c, ldc, ep);
+      break;
+    case QType::kInt32:
+      qgemm_typed(m, n, k, static_cast<const std::int32_t*>(a), lda,
+                  PatchB<std::int32_t>(static_cast<const std::int32_t*>(b.image), b), c, ldc, ep);
       break;
   }
 }

@@ -17,10 +17,12 @@
 //     real integer accelerator uses, exercised by the property tests.
 //
 // Operand widths are homogeneous per call: int8 operands accumulate in
-// int32 (a 2^14 product bound keeps any k <= 2^17 exact); int16 and int32
-// operands widen the accumulator to int64 so the kernel stays EXACT
-// against a naive int64 reference for every representable input — the
-// conformance battery depends on that exactness.
+// int32 (a 2^14 product bound keeps any k <= 2^17 exact); int16 operands
+// accumulate in int32 when the epilogue's derived operand bounds prove
+// it exact (QGemmEpilogue::a_max, bias_max) and in int64 otherwise, and
+// int32 operands always in int64 — so the kernel stays EXACT against a
+// naive int64 reference for every representable input. The conformance
+// battery depends on that exactness.
 //
 // One tile driver runs every call but the n == 1 GEMV; it is templated on
 // the packed layout, chosen per call from the active ISA and the input:
@@ -28,6 +30,10 @@
 // int32, and the fallback), k-PAIR (AVX2 vpmaddwd, int8/int16) or k-QUAD
 // (AVX2 vpmaddubsw, int8 with every |b| <= 64). The kQMr x kQNr tile
 // geometry and the SIMD layouts are defined in tensor/kernels/kernels.hpp.
+// The packers read B as the k-rows of one strip, from a matrix or
+// straight from a convolution image (qgemm_patches). Full tiles with
+// int32 accumulators store through the registry's SIMD epilogue when the
+// bound above holds; every other tile through the scalar store_tile.
 //
 // Determinism contract (inherits tensor/gemm.hpp's, and is strictly
 // stronger): each output tile is owned by exactly one task, the task
@@ -38,7 +44,8 @@
 // tile tasks across the pool.
 //
 // Scratch reuses the per-thread GemmScratch arena (byte slots qa/qb/
-// qcol/qact, counted in the same tensor.scratch.bytes gauge). Counters
+// qcol/qact, counted in the same tensor.scratch.bytes gauge; qcol holds
+// the k-rows of the B strip being packed). Counters
 // (when metrics are enabled): qgemm.calls, qgemm.macs, qgemm.tiles,
 // qgemm.requant.saturated.
 #pragma once
@@ -101,6 +108,15 @@ struct QGemmEpilogue {
   // requantization is monotone, and 0 maps to 0 (relu zeros are semantic,
   // never counted as saturations).
   bool relu = false;
+  // Operand bounds derived where the operands were lowered (0 = unknown):
+  // a_max >= every |A| of the call, bias_max >= every |bias|. With max|B|
+  // from qgemm's own range scan they prove
+  //   k * a_max * max|B| + bias_max + 2^(t-1) < 2^31
+  // (t the power-of-two requantize shift, else 0), which lets int16
+  // operands accumulate in int32 and the store run in int32 SIMD. An
+  // unknown bound keeps the int64 accumulators.
+  std::int64_t a_max = 0;
+  std::int64_t bias_max = 0;
 };
 
 // C = A · B with the given epilogue, row-major, homogeneous operand type:
@@ -115,6 +131,24 @@ void qgemm(QType type, std::int64_t m, std::int64_t n, std::int64_t k,
            const void* b, std::int64_t ldb,
            void* c, std::int64_t ldc,
            const QGemmEpilogue& ep, bool trans_b = false);
+
+// B given as the patch matrix of one image group of a convolution,
+// never materialized: B[k][j] for k = (ic, kh, kw) and j = (oh, ow) is
+// image[ic][oh*stride - pad + kh][ow*stride - pad + kw], zero in the
+// padding. The image is channels x height x width ints of the call's
+// type; k = channels * kernel_h * kernel_w, n = out_h * out_w.
+struct QPatchB {
+  const void* image = nullptr;
+  int channels = 0, height = 0, width = 0;
+  int kernel_h = 1, kernel_w = 1, stride = 1, pad = 0;
+  int out_h = 0, out_w = 0;
+};
+
+// qgemm with the patch matrix as B: the tile driver packs each B strip
+// straight from the image, so no im2col pass runs. Same results as qgemm
+// on the materialized patch matrix, byte for byte.
+void qgemm_patches(QType type, std::int64_t m, const void* a, std::int64_t lda,
+                   const QPatchB& b, void* c, std::int64_t ldc, const QGemmEpilogue& ep);
 
 // ---------------------------------------------------------------------------
 // Saturating quantize-on-load: out[i] = clamp(nearbyint(x[i] / step), lo,

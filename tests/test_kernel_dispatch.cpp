@@ -91,13 +91,20 @@ TEST(KernelDispatch, RegistryGeometryDrivesBlocking) {
     EXPECT_EQ(bl.nc, 64 * reg.nr);
     if (isa == KernelIsa::kScalar) {
       // The generic qgemm templates ARE the scalar integer path.
-      EXPECT_EQ(reg.qmicro8, nullptr);
+      EXPECT_EQ(reg.qmicro_pair32, nullptr);
+      EXPECT_EQ(reg.qstore_tile32, nullptr);
       EXPECT_EQ(reg.qdot8, nullptr);
       EXPECT_EQ(reg.quantize8, nullptr);
     } else {
-      EXPECT_NE(reg.qmicro8, nullptr);
+      EXPECT_NE(reg.qmicro_pair32, nullptr);
       EXPECT_NE(reg.qmicro8_maddubs, nullptr);
-      EXPECT_NE(reg.qmicro16, nullptr);
+      EXPECT_NE(reg.qmicro_pair64, nullptr);
+      EXPECT_NE(reg.qpack_pair8, nullptr);
+      EXPECT_NE(reg.qpack_pair16, nullptr);
+      EXPECT_NE(reg.qpack_quad8, nullptr);
+      EXPECT_NE(reg.qrange8, nullptr);
+      EXPECT_NE(reg.qrange16, nullptr);
+      EXPECT_NE(reg.qstore_tile32, nullptr);
       EXPECT_NE(reg.qdot8, nullptr);
       EXPECT_NE(reg.qdot16, nullptr);
       EXPECT_NE(reg.quantize8, nullptr);

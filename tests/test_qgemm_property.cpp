@@ -1,9 +1,11 @@
 // Property battery for the integer GEMM backend (src/tensor/qgemm.cpp).
 //
 // The kernels are EXACT: int8 accumulates in int32 (products bounded by
-// 2^14, k far below the 2^17 overflow horizon here), int16/int32 widen to
-// int64 — so unlike the float GEMM tests there is no tolerance anywhere:
-// every comparison against the naive int64 reference is ASSERT_EQ.
+// 2^14, k far below the 2^17 overflow horizon here), int16 in int32 when
+// the epilogue's derived operand bounds prove k*max|A|*max|B| + max|bias|
+// + 2^(t-1) < 2^31 and in int64 otherwise, int32 in int64 — so unlike the
+// float GEMM tests there is no tolerance anywhere: every comparison
+// against the naive int64 reference is ASSERT_EQ or memcmp.
 // Covered here:
 //   * randomized GEMM vs naive int64 reference across edge shapes (M=1,
 //     K=1, ragged tiles around the kQMr x kQNr micro-tile), both operand
@@ -12,6 +14,14 @@
 //     committed scalar contract) and saturation counting;
 //   * quantize-on-load saturation at the +-2^(I+F) grid boundaries and
 //     bit-compatibility with quant/fixed_point's quantize_tensor;
+//   * the int32-accumulator path and its SIMD store epilogue under every
+//     available ISA: narrow-range int16 operands, calls just under and
+//     just over the bound, requantize shifts t = 1 and t = 30 at the
+//     clamp edges (saturation counts included), both bias axes, full and
+//     ragged tiles;
+//   * the patch-view conv (B packed straight from the image) against a
+//     materialized im2col reference, memcmp, over strides, pads, output
+//     widths and groups;
 //   * bitwise determinism across worker counts;
 //   * the metamorphic emulated-vs-executed check: a conv layer run with
 //     the float kQuantize emulation and through the integer path agree to
@@ -23,6 +33,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "compile/compiled_network.hpp"
@@ -454,6 +465,395 @@ TEST(QGemmKernelIsa, QuantizeToByteIdenticalAcrossIsas) {
           << kernel_isa_name(isa) << " " << qtype_name(type);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// int32 accumulators and the SIMD store epilogue. The operand bounds
+// (ep.a_max, ep.bias_max) let int16 calls accumulate in int32 and full
+// tiles store through the registry's int32 entry; whichever path runs,
+// every output byte and the saturation count must equal the naive int64
+// reference — under every available ISA and worker count.
+
+// The reference store of every element: bias, then the dequantize or the
+// requantize + ReLU + clamp, all in int64.
+template <typename T>
+std::vector<unsigned char> ref_store(std::int64_t m, std::int64_t n,
+                                     const std::vector<std::int64_t>& acc,
+                                     const QGemmEpilogue& ep, std::int64_t* sat) {
+  const std::size_t elem = ep.quant_store ? sizeof(T) : sizeof(float);
+  std::vector<unsigned char> out(static_cast<std::size_t>(m * n) * elem);
+  *sat = 0;
+  for (std::int64_t i = 0; i < m; ++i)
+    for (std::int64_t j = 0; j < n; ++j) {
+      std::int64_t v = acc[static_cast<std::size_t>(i * n + j)];
+      if (ep.bias_row != nullptr) v += ep.bias_row[i];
+      else if (ep.bias_col != nullptr) v += ep.bias_col[j];
+      unsigned char* dst = out.data() + static_cast<std::size_t>(i * n + j) * elem;
+      if (!ep.quant_store) {
+        float f = static_cast<float>(static_cast<double>(v) * ep.scale);
+        if (ep.relu) f = f > 0.0f ? f : 0.0f;
+        std::memcpy(dst, &f, sizeof f);
+      } else {
+        std::int32_t q = apply_requant(v, ep.requant);
+        if (ep.relu) q = std::max(q, 0);
+        const std::int32_t qc = std::min(std::max(q, ep.lo), ep.hi);
+        *sat += qc != q;
+        const T t = static_cast<T>(qc);
+        std::memcpy(dst, &t, sizeof t);
+      }
+    }
+  return out;
+}
+
+// Runs the call under every available ISA at 1 and 3 workers; memcmp
+// against the reference, saturation counts equal.
+template <typename T>
+void expect_exact_everywhere(const std::string& what, std::int64_t m, std::int64_t n,
+                             std::int64_t k, const std::vector<std::int32_t>& a32,
+                             const std::vector<std::int32_t>& b32, bool trans_b,
+                             QGemmEpilogue ep) {
+  const QType type = sizeof(T) == 1 ? QType::kInt8 : QType::kInt16;
+  const std::int64_t ldb = trans_b ? k : n;
+  std::vector<std::int64_t> acc;
+  ref_qgemm(m, n, k, a32.data(), k, b32.data(), ldb, trans_b, acc);
+  std::int64_t want_sat = 0;
+  const std::vector<unsigned char> want = ref_store<T>(m, n, acc, ep, &want_sat);
+  const auto a = narrow<T>(a32);
+  const auto b = narrow<T>(b32);
+
+  IsaGuard guard;
+  for (KernelIsa isa : available_isas()) {
+    for (const int workers : {1, 3}) {
+      set_kernel_isa(isa);
+      set_parallel_worker_count(workers);
+      std::atomic<std::int64_t> sat{0};
+      ep.saturated = &sat;
+      std::vector<unsigned char> got(want.size(), 0xAB);
+      qgemm(type, m, n, k, a.data(), k, b.data(), ldb, got.data(), n, ep, trans_b);
+      set_parallel_worker_count(0);
+      ASSERT_EQ(0, std::memcmp(want.data(), got.data(), want.size()))
+          << what << " " << kernel_isa_name(isa) << " workers=" << workers << " " << m << "x"
+          << n << "x" << k;
+      EXPECT_EQ(sat.load(), want_sat) << what << " " << kernel_isa_name(isa);
+    }
+  }
+}
+
+std::vector<std::int64_t> random_bias(std::size_t n, std::int64_t span, std::uint64_t seed) {
+  std::vector<std::int64_t> v(n);
+  Rng rng(seed);
+  for (auto& x : v)
+    x = static_cast<std::int64_t>(rng.uniform_index(static_cast<std::uint64_t>(2 * span + 1))) -
+        span;
+  return v;
+}
+
+std::int64_t max_abs(const std::vector<std::int64_t>& v) {
+  std::int64_t m = 0;
+  for (std::int64_t x : v) m = std::max(m, x < 0 ? -x : x);
+  return m;
+}
+
+TEST(QGemmAcc32, NarrowInt16MatchesReferenceUnderEveryIsa) {
+  // 8-bit A (the weights' range) x 10-bit B (activations) in int16
+  // carriers: k * 128 * 512 stays far below 2^31, so the bound holds and
+  // the pair32 kernel with the SIMD store runs on AVX2.
+  struct Shape {
+    std::int64_t m, n, k;
+  };
+  const Shape shapes[] = {{kQMr, kQNr, 40},           // one full tile
+                          {2 * kQMr, 2 * kQNr, 129},  // full tiles, odd k
+                          {7, 21, 33},                // ragged both axes
+                          {13, 45, 64},
+                          {64, 96, 256}};  // crosses the parallel cutoff
+  std::uint64_t seed = 900;
+  for (const Shape& s : shapes) {
+    for (const bool trans_b : {false, true}) {
+      for (int bias_axis = 0; bias_axis < 3; ++bias_axis) {
+        for (int store = 0; store < 3; ++store) {
+          const auto a32 = random_ints(static_cast<std::size_t>(s.m * s.k), 8, ++seed);
+          const auto b32 = random_ints(static_cast<std::size_t>(s.k * s.n), 10, ++seed);
+          const auto bias = random_bias(static_cast<std::size_t>(bias_axis == 1 ? s.m : s.n),
+                                        50000, ++seed);
+          QGemmEpilogue ep;
+          ep.a_max = 128;
+          if (bias_axis == 1) ep.bias_row = bias.data();
+          if (bias_axis == 2) ep.bias_col = bias.data();
+          if (bias_axis != 0) ep.bias_max = max_abs(bias);
+          if (store == 0) {
+            ep.scale = 1.0 / 4096.0;
+          } else if (store == 1) {
+            ep.scale = 1.0 / 4096.0;
+            ep.relu = true;
+          } else {
+            ep.quant_store = true;
+            ep.requant = make_requant(1.0 / 512.0);  // t = 9
+            ep.lo = -512;
+            ep.hi = 511;
+            ep.relu = true;
+          }
+          expect_exact_everywhere<std::int16_t>(
+              "narrow int16 bias=" + std::to_string(bias_axis) + " store=" +
+                  std::to_string(store) + " trans_b=" + std::to_string(trans_b),
+              s.m, s.n, s.k, a32, b32, trans_b, ep);
+        }
+      }
+    }
+  }
+}
+
+TEST(QGemmAcc32, CallsJustUnderAndJustOverTheBoundStayExact) {
+  // k = 2 pairs of 32767 * 32767 sum to 2^31 - 131070; the bias closes
+  // the gap to 2^31 - 1 (under: int32 path, the last representable value)
+  // or to 2^31 (over: the int64 path must run). Both signs, full tile.
+  const std::int64_t m = kQMr, n = kQNr, k = 2;
+  const std::int64_t prod = 2 * std::int64_t{32767} * 32767;
+  for (const int sign : {1, -1}) {
+    for (const int t : {0, 1}) {  // dequantize, then requantize with t = 1
+      const std::int64_t half = t > 0 ? 1 : 0;
+      for (const std::int64_t over : {0, 1}) {
+        const std::int64_t gap = (std::int64_t{1} << 31) - 1 - prod - half + over;
+        const std::vector<std::int32_t> a32(static_cast<std::size_t>(m * k), sign * 32767);
+        const std::vector<std::int32_t> b32(static_cast<std::size_t>(k * n), 32767);
+        const std::vector<std::int64_t> bias(static_cast<std::size_t>(m), sign * gap);
+        QGemmEpilogue ep;
+        ep.a_max = 32767;
+        ep.bias_row = bias.data();
+        ep.bias_max = gap;
+        if (t == 0) {
+          ep.scale = 1.0 / 65536.0;
+        } else {
+          ep.quant_store = true;
+          ep.requant = make_requant(0.5);
+          ep.lo = -32768;
+          ep.hi = 32767;
+        }
+        expect_exact_everywhere<std::int16_t>(
+            "bound edge sign=" + std::to_string(sign) + " t=" + std::to_string(t) +
+                " over=" + std::to_string(over),
+            m, n, k, a32, b32, false, ep);
+      }
+    }
+  }
+  // The vpmaddwd corner: (-32768)^2 pairs sum to exactly 2^31, which the
+  // bound rejects (it is not < 2^31); the exact int64 result must come out.
+  const std::vector<std::int32_t> a32(static_cast<std::size_t>(m * k), -32768);
+  const std::vector<std::int32_t> b32(static_cast<std::size_t>(k * n), -32768);
+  QGemmEpilogue ep;
+  ep.a_max = 32768;
+  ep.scale = 1.0 / 65536.0;
+  expect_exact_everywhere<std::int16_t>("-32768 corner", m, n, k, a32, b32, false, ep);
+}
+
+TEST(QGemmAcc32, ProvenBoundTakesThePairKernelEvenWithMinInt16) {
+  // A B operand holding -32768 sends an unbounded int16 call to the plain
+  // layout (the int64 pair kernel cannot exclude the corner); with a_max
+  // proving the bound, the int32 pair kernel takes it — counted as madd,
+  // like every int16 pair call.
+  if (!kernel_isa_available(KernelIsa::kAvx2)) GTEST_SKIP() << "AVX2 kernels not compiled/usable";
+  IsaGuard guard;
+  set_kernel_isa(KernelIsa::kAvx2);
+  const std::int64_t m = 8, n = 32, k = 64;
+  const auto a32 = random_ints(static_cast<std::size_t>(m * k), 8, 1201);
+  auto b32 = random_ints(static_cast<std::size_t>(k * n), 16, 1202);
+  b32[5] = -32768;
+  const auto a = narrow<std::int16_t>(a32);
+  const auto b = narrow<std::int16_t>(b32);
+  QGemmEpilogue ep;
+  ep.scale = 1.0 / 65536.0;
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  metrics().reset();
+  set_metrics_enabled(true);
+  qgemm(QType::kInt16, m, n, k, a.data(), k, b.data(), n, c.data(), n, ep);
+  EXPECT_EQ(metrics().counter("kernel.qgemm.scalar").value(), 1);
+  ep.a_max = 128;  // 64 * 128 * 32768 = 2^28
+  qgemm(QType::kInt16, m, n, k, a.data(), k, b.data(), n, c.data(), n, ep);
+  EXPECT_EQ(metrics().counter("kernel.qgemm.madd").value(), 1);
+  set_metrics_enabled(false);
+  expect_exact_everywhere<std::int16_t>("min int16 with bound", m, n, k, a32, b32, false, ep);
+}
+
+TEST(QGemmAcc32, RequantShiftEdgesCountSaturationsLikeStoreTile) {
+  // The accumulators are tiny (2-bit A, one B entry of 1: acc in
+  // [-2, 1]); the per-column bias places v = acc + bias on the rounding
+  // and clamp edges of shift t — q*2^t - 2^(t-1) rounds up to q, and
+  // q*2^t + 2^(t-1) - 8 still to q — for q around lo and hi. t = 30 allows |q| <= 1 only (v + 2^29 < 2^31); the
+  // largest v there leaves k * a_max * max|B| = 6 below the bound.
+  struct Edge {
+    int t;
+    std::int32_t lo, hi;
+  };
+  for (const Edge e : {Edge{1, -128, 127}, Edge{1, -32768, 32767}, Edge{30, -1, 0}}) {
+    std::vector<std::int64_t> vs;
+    const std::int64_t step = std::int64_t{1} << e.t;
+    const std::int64_t half = step / 2;
+    const std::int64_t qmax = e.t == 30 ? 1 : e.hi + 2;
+    for (const std::int64_t q : {std::int64_t{e.lo} - 2, std::int64_t{e.lo} - 1,
+                                 std::int64_t{e.lo}, std::int64_t{e.lo} + 1,
+                                 std::int64_t{e.hi} - 1, std::int64_t{e.hi},
+                                 std::int64_t{e.hi} + 1, std::int64_t{e.hi} + 2,
+                                 std::int64_t{-1}, std::int64_t{0}, std::int64_t{1}}) {
+      if (q > qmax || q < -qmax) continue;
+      vs.push_back(q * step - half);
+      vs.push_back(q * step + half - 8);  // leaves room for |acc| <= 2
+    }
+    for (const bool ragged : {false, true}) {
+      for (const bool relu : {false, true}) {
+        const std::int64_t n = ragged ? static_cast<std::int64_t>(vs.size()) : 2 * kQNr;
+        const std::int64_t m = ragged ? kQMr + 3 : kQMr;
+        const std::int64_t k = 3;
+        std::vector<std::int64_t> bias(static_cast<std::size_t>(n));
+        for (std::size_t j = 0; j < bias.size(); ++j) bias[j] = vs[j % vs.size()];
+        const auto a32 = random_ints(static_cast<std::size_t>(m * k), 2, 1300 + e.t);
+        std::vector<std::int32_t> b32(static_cast<std::size_t>(k * n), 0);
+        b32[0] = 1;
+        QGemmEpilogue ep;
+        ep.a_max = 2;
+        ep.bias_col = bias.data();
+        ep.bias_max = max_abs(bias);
+        ep.quant_store = true;
+        ep.requant = make_requant(std::ldexp(1.0, -e.t));
+        ep.lo = e.lo;
+        ep.hi = e.hi;
+        ep.relu = relu;
+        const std::string what = "t=" + std::to_string(e.t) + " hi=" + std::to_string(e.hi) +
+                                 " ragged=" + std::to_string(ragged) +
+                                 " relu=" + std::to_string(relu);
+        if (e.hi > 127)
+          expect_exact_everywhere<std::int16_t>(what, m, n, k, a32, b32, false, ep);
+        else
+          expect_exact_everywhere<std::int8_t>(what, m, n, k, a32, b32, false, ep);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Patch-view conv: Conv2DLayer::forward_integer packs B straight from the
+// quantized image. It must equal, byte for byte, the same qgemm run on a
+// materialized im2col matrix (built here, independently), per (image,
+// group), under every available ISA.
+
+template <typename T>
+void im2col_ref(const T* x, int C, int H, int W, int K, int stride, int pad, int OH, int OW,
+                std::vector<T>& col) {
+  col.assign(static_cast<std::size_t>(C) * K * K * OH * OW, T(0));
+  std::size_t idx = 0;
+  for (int c = 0; c < C; ++c)
+    for (int kh = 0; kh < K; ++kh)
+      for (int kw = 0; kw < K; ++kw)
+        for (int oh = 0; oh < OH; ++oh)
+          for (int ow = 0; ow < OW; ++ow, ++idx) {
+            const int ih = oh * stride - pad + kh, iw = ow * stride - pad + kw;
+            if (ih >= 0 && ih < H && iw >= 0 && iw < W)
+              col[idx] = x[(static_cast<std::size_t>(c) * H + ih) * W + iw];
+          }
+}
+
+template <typename T>
+void run_patch_conv_case(int act_bits, bool bounded, bool requant, int stride, int pad, int OW,
+                         int groups, std::uint64_t seed) {
+  const int K = 3, cig = 2, ocg = 5, N = 2, OH = OW == 1 ? 1 : 3;
+  const int H = (OH - 1) * stride + K - 2 * pad;
+  const int W = (OW - 1) * stride + K - 2 * pad;
+  if (H < 1 || W < 1) return;  // a 1x1 output with pad 2 has no input
+  Conv2DLayer::Config cfg;
+  cfg.in_channels = cig * groups;
+  cfg.out_channels = ocg * groups;
+  cfg.kernel_h = cfg.kernel_w = K;
+  cfg.stride = stride;
+  cfg.pad = pad;
+  cfg.groups = groups;
+  const Conv2DLayer conv(cfg);
+  const QType type = sizeof(T) == 1 ? QType::kInt8 : QType::kInt16;
+  const std::int64_t k_dim = static_cast<std::int64_t>(cig) * K * K;
+
+  const auto w = narrow<T>(random_ints(static_cast<std::size_t>(cfg.out_channels * k_dim),
+                                       sizeof(T) == 1 ? 8 : 9, seed));
+  const auto bias = random_bias(static_cast<std::size_t>(cfg.out_channels), 3000, seed + 1);
+  QLayerBinding q;
+  q.type = type;
+  q.weights = w.data();
+  q.bias = bias.data();
+  q.act_step = 1.0 / 16.0;
+  q.act_lo = -(1 << (act_bits - 1));
+  q.act_hi = (1 << (act_bits - 1)) - 1;
+  q.ep.relu = true;
+  if (bounded) {
+    q.ep.a_max = sizeof(T) == 1 ? 128 : 256;
+    q.ep.bias_max = max_abs(bias);
+  }
+  if (requant) {
+    q.ep.quant_store = true;
+    q.ep.requant = make_requant(1.0 / 64.0);
+    q.ep.lo = q.act_lo;
+    q.ep.hi = q.act_hi;
+  } else {
+    q.ep.scale = 1.0 / 1024.0;
+  }
+
+  Tensor x(Shape({N, cfg.in_channels, H, W}));
+  Rng rng(seed + 2);
+  for (std::int64_t i = 0; i < x.numel(); ++i)
+    x[i] = static_cast<float>(rng.uniform(-0.6, 0.6) * (q.act_hi + 1) * q.act_step);
+  const Shape ys = conv.output_shape(std::vector<Shape>{x.shape()});
+  ASSERT_EQ(ys.w(), OW);
+
+  // Reference: the same quantize-on-load, a materialized patch matrix,
+  // and the same qgemm per (image, group).
+  std::vector<T> xq(static_cast<std::size_t>(x.numel()));
+  quantize_to(type, x.data(), x.numel(), q.act_step, q.act_lo, q.act_hi, xq.data());
+  Tensor want(ys);
+  const std::int64_t spatial = static_cast<std::int64_t>(OH) * OW;
+  std::vector<T> col;
+  for (int n = 0; n < N; ++n)
+    for (int g = 0; g < groups; ++g) {
+      const T* ximg = xq.data() + (static_cast<std::int64_t>(n) * cfg.in_channels + g * cig) * H * W;
+      im2col_ref(ximg, cig, H, W, K, stride, pad, OH, OW, col);
+      QGemmEpilogue ep = q.ep;
+      ep.bias_row = bias.data() + g * ocg;
+      const std::int64_t y_off = (static_cast<std::int64_t>(n) * cfg.out_channels + g * ocg) * spatial;
+      void* yg = requant ? static_cast<void*>(reinterpret_cast<T*>(want.data()) + y_off)
+                         : static_cast<void*>(want.data() + y_off);
+      qgemm(type, ocg, spatial, k_dim, w.data() + g * ocg * k_dim, k_dim, col.data(), spatial, yg,
+            spatial, ep);
+    }
+  const std::size_t bytes = requant ? static_cast<std::size_t>(want.numel()) * sizeof(T)
+                                    : static_cast<std::size_t>(want.numel()) * sizeof(float);
+
+  IsaGuard guard;
+  for (KernelIsa isa : available_isas()) {
+    set_kernel_isa(isa);
+    Tensor got(ys);
+    std::memset(got.data(), 0xAB, static_cast<std::size_t>(got.numel()) * sizeof(float));
+    std::atomic<std::int64_t> sat{0};
+    QLayerBinding qb = q;
+    qb.ep.saturated = &sat;
+    conv.forward_integer(qb, x, got);
+    ASSERT_EQ(0, std::memcmp(want.data(), got.data(), bytes))
+        << kernel_isa_name(isa) << " " << qtype_name(type) << " act_bits=" << act_bits
+        << " bounded=" << bounded << " requant=" << requant << " stride=" << stride
+        << " pad=" << pad << " OW=" << OW << " groups=" << groups;
+  }
+}
+
+TEST(QConvPatches, FusedGatherMatchesMaterializedIm2col) {
+  // OW 4 and 8 split a 16-column strip across output rows; 16 and 32 keep
+  // it in one (the direct rows of a stride-1 conv); a 1x1 output is the
+  // n == 1 GEMV.
+  std::uint64_t seed = 1400;
+  for (const int stride : {1, 2})
+    for (const int pad : {0, 1, 2})
+      for (const int OW : {1, 4, 8, 16, 32})
+        for (const int groups : {1, 3}) {
+          for (const bool requant : {false, true}) {
+            ++seed;
+            run_patch_conv_case<std::int8_t>(7, true, requant, stride, pad, OW, groups, seed);
+            run_patch_conv_case<std::int8_t>(8, true, requant, stride, pad, OW, groups, seed);
+            run_patch_conv_case<std::int16_t>(10, true, requant, stride, pad, OW, groups, seed);
+            run_patch_conv_case<std::int16_t>(10, false, requant, stride, pad, OW, groups, seed);
+          }
+        }
 }
 
 // ---------------------------------------------------------------------------

@@ -60,13 +60,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" "${CTEST_EXTRA[@
 # CPUs) fall back to. MUPOD_FORCE_KERNEL=scalar re-runs the kernel-facing
 # batteries (`sanitize` covers gemm + dispatch, `quant` the integer
 # backend) through those paths under the same sanitizer. Same build dir:
-# dispatch is a startup env read, no recompile needed. PlanConformance is
-# excluded here, not hidden: its golden file pins end-to-end numbers
-# recorded under the machine's *detected* ISA, and forcing scalar shifts
-# the float calibration (no FMA contraction) those numbers depend on —
-# the cross-ISA contracts that must hold exactly (integer byte equality,
-# float tolerance) are asserted by the included batteries instead.
+# dispatch is a startup env read, no recompile needed. PlanConformance
+# runs here too: it compares against the golden of the active float
+# arithmetic (tests/golden/plan_conformance.scalar.txt when no FMA
+# kernel runs).
 echo "=== re-running kernel batteries with MUPOD_FORCE_KERNEL=scalar ($MODE) ==="
 MUPOD_FORCE_KERNEL=scalar \
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-    -L 'sanitize|quant' -E 'PlanConformance' "$@"
+    -L 'sanitize|quant' "$@"

@@ -6,12 +6,15 @@
 //      integer-executed accuracy drop stays within its accuracy budget
 //      plus kValidationTolerance — the same bound sweep_tool --validate
 //      gates on.
-//   2. A golden snapshot (tests/golden/plan_conformance.txt) of the full
-//      validation record — allocated bits, float/emulated/integer/compiled
-//      accuracy — so any change in the lowering, the kernels, the graph
+//   2. A golden snapshot of the full validation record — allocated
+//      bits, float/emulated/integer/compiled accuracy — so any change in the lowering, the kernels, the graph
 //      compiler, or the planner shows up as a reviewable diff, not a
 //      silent drift. The whole pipeline is deterministic (see
-//      test_determinism.cpp), so the comparison is exact.
+//      test_determinism.cpp), so the comparison is exact. The plans
+//      depend on the float arithmetic of the profiling forwards, so
+//      there is one golden per arithmetic: plan_conformance.txt for
+//      the FMA kernels (kAvx2Fma) and plan_conformance.scalar.txt for
+//      separate multiply-then-add (kScalar, kAvx2).
 //
 // The compiled columns (added with the graph compiler) measure the FUSED
 // artifact the inference server serves; `integer` stays the unfused
@@ -24,7 +27,8 @@
 // Updating the golden after an intentional change:
 //   ./mupod_quant_tests --update-golden
 //   (or MUPOD_UPDATE_GOLDEN=1 ./mupod_quant_tests)
-// then review and commit the new tests/golden/plan_conformance.txt.
+// under each arithmetic (MUPOD_FORCE_KERNEL=scalar for the second
+// golden), then review and commit the new files in tests/golden/.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -35,6 +39,7 @@
 #include <vector>
 
 #include "serve/plan_service.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "zoo/zoo.hpp"
 
 namespace mupod {
@@ -47,7 +52,9 @@ bool g_update_golden = false;
 #endif
 
 std::string golden_path() {
-  return std::string(MUPOD_SOURCE_DIR) + "/tests/golden/plan_conformance.txt";
+  const bool fma = kernel_isa() == KernelIsa::kAvx2Fma;
+  return std::string(MUPOD_SOURCE_DIR) + "/tests/golden/plan_conformance" +
+         (fma ? "" : ".scalar") + ".txt";
 }
 
 struct ConformanceCase {

@@ -94,27 +94,36 @@ void BM_DepthwiseConv(benchmark::State& state) {
 BENCHMARK(BM_DepthwiseConv)->Arg(64);
 
 // Contested shapes for the Conv2D use_gemm gate (src/nn/conv.cpp): shapes
-// near the measured direct/GEMM crossover, run through the path the gate
-// picks. Re-run these (plus the K x icg x ocg x HW sweep described in
-// docs/method.md §11) before changing the gate constants.
-//   args: ocg, K, HW
-void BM_ConvCrossover(benchmark::State& state) {
-  const int ocg = static_cast<int>(state.range(0));
-  const int K = static_cast<int>(state.range(1));
-  const int HW = static_cast<int>(state.range(2));
+// near the measured direct/GEMM crossover, four groups of icg input
+// channels each. BM_ConvCrossover runs the path the gate picks;
+// BM_ConvCrossoverGemm runs the GEMM lowering whatever the gate picks, so
+// on a shape the gate sends to the direct loop the pair measures the
+// crossover (docs/method.md §11). Re-run both before changing the gate
+// constants.
+//   args: ocg, K, HW, icg
+Conv2DLayer crossover_conv(const benchmark::State& state) {
   const int groups = 4;  // grouped, so ocg stays small while the layer is real
   Conv2DLayer::Config cfg;
-  cfg.in_channels = 8 * groups;
-  cfg.out_channels = ocg * groups;
-  cfg.kernel_h = cfg.kernel_w = K;
-  cfg.pad = K / 2;
+  cfg.in_channels = static_cast<int>(state.range(3)) * groups;
+  cfg.out_channels = static_cast<int>(state.range(0)) * groups;
+  cfg.kernel_h = cfg.kernel_w = static_cast<int>(state.range(1));
+  cfg.pad = cfg.kernel_h / 2;
   cfg.groups = groups;
   Conv2DLayer conv(cfg);
   Rng rng(9);
   for (std::int64_t i = 0; i < conv.mutable_weights()->numel(); ++i)
     (*conv.mutable_weights())[i] = static_cast<float>(rng.gaussian());
+  return conv;
+}
 
-  const Tensor x = random_tensor(Shape({1, cfg.in_channels, HW, HW}), 10);
+Tensor crossover_input(const benchmark::State& state, const Conv2DLayer& conv) {
+  const int HW = static_cast<int>(state.range(2));
+  return random_tensor(Shape({1, conv.config().in_channels, HW, HW}), 10);
+}
+
+void BM_ConvCrossover(benchmark::State& state) {
+  const Conv2DLayer conv = crossover_conv(state);
+  const Tensor x = crossover_input(state, conv);
   Tensor y(out_of(conv, x.shape()));
   const Tensor* ins[1] = {&x};
   for (auto _ : state) {
@@ -124,16 +133,55 @@ void BM_ConvCrossover(benchmark::State& state) {
   const Shape shapes[1] = {x.shape()};
   state.SetItemsProcessed(state.iterations() * conv.cost(shapes).macs);
 }
-BENCHMARK(BM_ConvCrossover)
-    // Pointwise, few output channels: GEMM wins from ocg >= 2.
-    ->Args({2, 1, 16})
-    // 3x3 at the ocg == 3 boundary: GEMM wins everywhere measured.
-    ->Args({3, 3, 16})
-    // 5x5 at ocg == 3: break-even at 8x8 (gate keeps direct), GEMM past 16x16.
-    ->Args({3, 5, 8})
-    ->Args({3, 5, 16})
-    // Comfortably past the crossover: the common zoo shape.
-    ->Args({16, 3, 16});
+
+// Conv2DLayer::forward's GEMM branch, spelled out: per group the bias
+// rows prefilled, then gemm (pointwise) or gemm_patches with beta 1.
+void BM_ConvCrossoverGemm(benchmark::State& state) {
+  const Conv2DLayer conv = crossover_conv(state);
+  const Conv2DLayer::Config& cfg = conv.config();
+  const Tensor x = crossover_input(state, conv);
+  Tensor y(out_of(conv, x.shape()));
+  const int H = x.shape().h(), W = x.shape().w(), OH = y.shape().h(), OW = y.shape().w();
+  const int icg = cfg.in_channels / cfg.groups, ocg = cfg.out_channels / cfg.groups;
+  const std::int64_t k_dim = static_cast<std::int64_t>(icg) * cfg.kernel_h * cfg.kernel_w;
+  const std::int64_t spatial = static_cast<std::int64_t>(OH) * OW;
+  const bool pointwise = cfg.kernel_h == 1 && cfg.kernel_w == 1;
+  for (auto _ : state) {
+    for (int g = 0; g < cfg.groups; ++g) {
+      const float* ximg = x.data() + static_cast<std::int64_t>(g) * icg * H * W;
+      const float* wg = conv.weights()->data() + g * ocg * k_dim;
+      float* yg = y.data() + g * ocg * spatial;
+      for (int oc = 0; oc < ocg; ++oc)
+        std::fill(yg + oc * spatial, yg + (oc + 1) * spatial, (*conv.bias())[g * ocg + oc]);
+      if (pointwise)
+        gemm(ocg, spatial, k_dim, wg, k_dim, ximg, spatial, 1.0f, yg, spatial);
+      else
+        gemm_patches(ocg, wg, k_dim,
+                     {ximg, icg, H, W, cfg.kernel_h, cfg.kernel_w, cfg.stride, cfg.pad, OH, OW},
+                     1.0f, yg, spatial);
+    }
+    benchmark::DoNotOptimize(y.data());
+  }
+  const Shape shapes[1] = {x.shape()};
+  state.SetItemsProcessed(state.iterations() * conv.cost(shapes).macs);
+}
+
+void crossover_shapes(benchmark::internal::Benchmark* b) {
+  // Pointwise: GEMM from ocg >= 2; 1 -> 1 channel below spatial 512 is
+  // direct.
+  b->Args({2, 1, 16, 8})->Args({1, 1, 16, 1});
+  // 3x3 at the ocg == 3 boundary (GEMM), and ocg == 2 either side of
+  // spatial 1024.
+  b->Args({3, 3, 16, 8})->Args({2, 3, 16, 8})->Args({2, 3, 32, 8});
+  // 5x5 at ocg == 3: direct at 8x8, GEMM from 16x16.
+  b->Args({3, 5, 8, 8})->Args({3, 5, 16, 8});
+  // Depthwise (icg == ocg == 1): direct.
+  b->Args({1, 3, 16, 1})->Args({1, 3, 32, 1});
+  // Comfortably past the crossover: the common zoo shape.
+  b->Args({16, 3, 16, 8});
+}
+BENCHMARK(BM_ConvCrossover)->Apply(crossover_shapes);
+BENCHMARK(BM_ConvCrossoverGemm)->Apply(crossover_shapes);
 
 void BM_InnerProduct(benchmark::State& state) {
   InnerProductLayer fc(1024, 256);

@@ -54,9 +54,9 @@ CompiledNetwork::CompiledNetwork(const Network& net, CompiledGraph graph,
       Tensor wf, bf;
       if (n.norm_src >= 0) {
         // Fold the norm affine into the operands BEFORE quantization:
-        // w' = w * s[oc], b' = b * s[oc] + t[oc] (the fold_batchnorm
-        // math); the same float products folded_wmax scanned, so the
-        // derived w_fmt/type match the rewriter's decision.
+        // w' = w * s[oc], b' = b * s[oc] + t[oc]; the same float
+        // products folded_wmax scanned, so the derived w_fmt/type match
+        // the rewriter's decision.
         const auto& bn = static_cast<const BatchNormScaleLayer&>(net.layer(n.norm_src));
         const float* sc = bn.scale().data();
         const float* sh = bn.shift().data();

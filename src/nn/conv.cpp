@@ -49,51 +49,30 @@ Shape Conv2DLayer::output_shape(std::span<const Shape> in) const {
 
 namespace {
 
-// Fills rows [kb, ke) of the column-major patch matrix `col` of shape
-// [icg*KH*KW rows, OH*OW cols]: col[k][j] = input value the k-th kernel
-// tap sees at output position j (0 where the tap falls in padding). The
-// integer path never materializes it (qgemm_patches packs from the image).
-void im2col_rows(const float* ximg, int H, int W, int KH, int KW, int stride, int pad,
-                 int OH, int OW, float* col, std::int64_t kb, std::int64_t ke) {
-  const std::int64_t cols = static_cast<std::int64_t>(OH) * OW;
-  for (std::int64_t k = kb; k < ke; ++k) {
-    const int ic = static_cast<int>(k / (KH * KW));
-    const int rem = static_cast<int>(k % (KH * KW));
-    const int kh = rem / KW;
-    const int kw = rem % KW;
-    const float* xplane = ximg + static_cast<std::int64_t>(ic) * H * W;
-    float* crow = col + k * cols;
-    for (int oh = 0; oh < OH; ++oh) {
-      const int ih = oh * stride - pad + kh;
-      float* cptr = crow + static_cast<std::int64_t>(oh) * OW;
-      if (ih < 0 || ih >= H) {
-        std::fill(cptr, cptr + OW, 0.0f);
-        continue;
-      }
-      const float* xrow = xplane + static_cast<std::int64_t>(ih) * W;
-      for (int ow = 0; ow < OW; ++ow) {
-        const int iw = ow * stride - pad + kw;
-        cptr[ow] = (iw >= 0 && iw < W) ? xrow[iw] : 0.0f;
-      }
-    }
-  }
+// Runs body(n, g) for every (image, group) job of a conv's GEMM path.
+// With enough jobs to fill the pool the outer loop parallelises and each
+// GEMM runs serial (nested); for small batches — the serving case — the
+// outer loop is serial and the GEMM fans its tile tasks across the
+// workers instead. Both give bitwise identical results (see the
+// determinism contract in tensor/gemm.hpp).
+template <typename F>
+void for_each_image_group(int N, int groups, const F& body) {
+  const std::int64_t jobs = static_cast<std::int64_t>(N) * groups;
+  const auto run = [&](std::int64_t b, std::int64_t e) {
+    for (std::int64_t idx = b; idx < e; ++idx)
+      body(static_cast<int>(idx / groups), static_cast<int>(idx % groups));
+  };
+  if (jobs >= parallel_worker_count() && jobs > 1)
+    parallel_for_chunked(0, jobs, run);
+  else
+    run(0, jobs);
 }
 
-// Expands one image group into the patch matrix. Parallelises over rows
-// when the expansion is big enough to amortize a pool dispatch (a no-op
-// serial fallback when already inside a parallel region, so the batched
-// outer loop can stay parallel over images).
-void im2col_group(const float* ximg, int icg, int H, int W, int KH, int KW, int stride, int pad,
-                  int OH, int OW, float* col) {
-  const std::int64_t rows = static_cast<std::int64_t>(icg) * KH * KW;
-  const std::int64_t cols = static_cast<std::int64_t>(OH) * OW;
-  if (rows * cols >= (1 << 14)) {
-    parallel_for_chunked(0, rows, [&](std::int64_t kb, std::int64_t ke) {
-      im2col_rows(ximg, H, W, KH, KW, stride, pad, OH, OW, col, kb, ke);
-    });
-  } else {
-    im2col_rows(ximg, H, W, KH, KW, stride, pad, OH, OW, col, 0, rows);
-  }
+// The patch matrix of one image group (icg channels of H x W at ximg)
+// under this conv's kernel, stride and pad.
+ConvPatches patches_of(const Conv2DLayer::Config& cfg, const void* ximg, int icg, int H, int W,
+                       int OH, int OW) {
+  return {ximg, icg, H, W, cfg.kernel_h, cfg.kernel_w, cfg.stride, cfg.pad, OH, OW};
 }
 
 // Integer conv: quantize-on-load once, then per (image, group) one qgemm
@@ -121,35 +100,22 @@ void conv_forward_integer(const Conv2DLayer::Config& cfg, const QLayerBinding& q
   const T* wq = static_cast<const T*>(q.weights);
   float* ydata = out.data();
 
-  // Same outer-parallel vs tile-fan-out split as the float GEMM path;
-  // both give bitwise identical results (integer accumulation is exact).
-  const std::int64_t jobs = static_cast<std::int64_t>(N) * groups;
-  const auto body = [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t idx = b; idx < e; ++idx) {
-      const int n = static_cast<int>(idx / groups);
-      const int g = static_cast<int>(idx % groups);
-      const T* ximg = xq + n * x_img + static_cast<std::int64_t>(g) * icg * H * W;
-      const std::int64_t y_off = n * y_img + static_cast<std::int64_t>(g) * ocg * spatial;
-      QGemmEpilogue ep = q.ep;
-      ep.bias_row = q.bias != nullptr ? q.bias + static_cast<std::int64_t>(g) * ocg : nullptr;
-      // A requantizing store writes `type` integers (the fused region's
-      // carrier), a dequantizing one floats.
-      void* yg = ep.quant_store ? static_cast<void*>(reinterpret_cast<T*>(ydata) + y_off)
-                                : static_cast<void*>(ydata + y_off);
-      const T* wg = wq + static_cast<std::int64_t>(g) * ocg * k_dim;
-      if (is_pointwise) {
-        qgemm(q.type, ocg, spatial, k_dim, wg, k_dim, ximg, spatial, yg, spatial, ep);
-      } else {
-        const QPatchB patches{ximg, icg, H, W, cfg.kernel_h, cfg.kernel_w, cfg.stride, cfg.pad,
-                              OH, OW};
-        qgemm_patches(q.type, ocg, wg, k_dim, patches, yg, spatial, ep);
-      }
-    }
-  };
-  if (jobs >= parallel_worker_count() && jobs > 1)
-    parallel_for_chunked(0, jobs, body);
-  else
-    body(0, jobs);
+  for_each_image_group(N, groups, [&](int n, int g) {
+    const T* ximg = xq + n * x_img + static_cast<std::int64_t>(g) * icg * H * W;
+    const std::int64_t y_off = n * y_img + static_cast<std::int64_t>(g) * ocg * spatial;
+    QGemmEpilogue ep = q.ep;
+    ep.bias_row = q.bias != nullptr ? q.bias + static_cast<std::int64_t>(g) * ocg : nullptr;
+    // A requantizing store writes `type` integers (the fused region's
+    // carrier), a dequantizing one floats.
+    void* yg = ep.quant_store ? static_cast<void*>(reinterpret_cast<T*>(ydata) + y_off)
+                              : static_cast<void*>(ydata + y_off);
+    const T* wg = wq + static_cast<std::int64_t>(g) * ocg * k_dim;
+    if (is_pointwise)
+      qgemm(q.type, ocg, spatial, k_dim, wg, k_dim, ximg, spatial, yg, spatial, ep);
+    else
+      qgemm_patches(q.type, ocg, wg, k_dim, patches_of(cfg, ximg, icg, H, W, OH, OW), yg,
+                    spatial, ep);
+  });
 }
 
 }  // namespace
@@ -229,21 +195,16 @@ void Conv2DLayer::forward(const FloatFusion& fu, const Tensor& x, Tensor& out) c
   // no patch expansion needed (OH*OW == H*W).
   const bool is_pointwise = KH == 1 && KW == 1 && stride == 1 && pad == 0;
 
-  // GEMM vs direct crossover, re-derived from the contested-shape sweep in
-  // bench_micro_kernels (icg x ocg x K x HW grid, min-of-N; methodology and
-  // full table in docs/method.md §11). What the measurements show:
-  //   * Pointwise convs pay no im2col, so the packed kernel wins from
-  //     ocg >= 2 or icg >= 2 onward (1.2-26x), and even the 1->1 channel
-  //     case once spatial reaches ~512 (1.7x at 32x32). Below that the
-  //     direct loop is ~7% faster — keep it.
-  //   * Patch-expanded convs amortize im2col over ocg output rows: ocg >= 4
-  //     wins at every measured shape (1.5-3.9x for 3x3/5x5), ocg == 3 wins
-  //     for 3x3 everywhere (>= 1.38x) but for larger kernel areas only once
-  //     spatial >= 256 (5x5 is break-even at 8x8). ocg == 2 with a 3x3
-  //     kernel flips past spatial >= 1024 (1.06-1.46x at 32x32).
-  //   * Depthwise (ocg == 1, patch-expanded) always loses (0.4-0.8x):
-  //     im2col inflates reads 9-25x with only one output row to reuse the
-  //     panel — the direct loop keeps it.
+  // GEMM vs direct crossover, fit when the GEMM path still materialized
+  // im2col (contested-shape sweep, icg x ocg x K x HW, docs/method.md
+  // §11): GEMM for pointwise convs from ocg >= 2 or icg >= 2 or spatial
+  // >= 512, for patch convs from ocg >= 4, for ocg == 3 with a kernel
+  // area <= 9 or spatial >= 256, for ocg == 2 with a kernel area <= 9 and
+  // spatial >= 1024; the direct loop for the rest, depthwise included. Re-measured
+  // with the patch-packed GEMM (BM_ConvCrossover vs BM_ConvCrossoverGemm
+  // in bench_micro_kernels), the GEMM wins every direct shape measured,
+  // 1.8-3.5x. The gate stays until a change that may move float bits:
+  // a shape that switches paths changes its summation order.
   bool use_gemm;
   if (is_pointwise) {
     use_gemm = ocg >= 2 || k_dim >= 2 || spatial >= 512;
@@ -254,51 +215,36 @@ void Conv2DLayer::forward(const FloatFusion& fu, const Tensor& x, Tensor& out) c
   }
 
   if (use_gemm) {
-    // im2col (skipped for pointwise) followed by one blocked GEMM per
-    // (image, group): Y[ocg x OH*OW] = W[ocg x k_dim] · col[k_dim x OH*OW].
-    // With enough (image, group) jobs to fill the pool the outer loop
-    // parallelises and each GEMM runs serial (nested); for small batches —
-    // the serving case — the outer loop is serial and the GEMM fans its
-    // tile tasks across the workers instead. Both give bitwise identical
-    // results (see the determinism contract in tensor/gemm.hpp).
-    const std::int64_t jobs = static_cast<std::int64_t>(N) * groups;
-    const auto body = [&](std::int64_t b, std::int64_t e) {
-      GemmScratch& scratch = GemmScratch::local();
-      for (std::int64_t idx = b; idx < e; ++idx) {
-        const int n = static_cast<int>(idx / groups);
-        const int g = static_cast<int>(idx % groups);
-        const float* ximg = xdata + n * x_img + static_cast<std::int64_t>(g) * icg * H * W;
-        const float* bmat = ximg;
-        if (!is_pointwise) {
-          float* col = scratch.col(static_cast<std::size_t>(k_dim * spatial));
-          im2col_group(ximg, icg, H, W, KH, KW, stride, pad, OH, OW, col);
-          bmat = col;
+    // One blocked GEMM per (image, group): Y[ocg x OH*OW] =
+    // W[ocg x k_dim] · B[k_dim x OH*OW], B the image planes of a
+    // pointwise conv, else the patch matrix read straight from the image.
+    for_each_image_group(N, groups, [&](int n, int g) {
+      const float* ximg = xdata + n * x_img + static_cast<std::int64_t>(g) * icg * H * W;
+      float* yg = ydata + n * y_img + static_cast<std::int64_t>(g) * ocg * spatial;
+      const float* wg = wdata + static_cast<std::int64_t>(g) * ocg * k_dim;
+      float beta = 0.0f;
+      if (bdata != nullptr) {
+        for (int oc_local = 0; oc_local < ocg; ++oc_local) {
+          float* yrow = yg + static_cast<std::int64_t>(oc_local) * spatial;
+          std::fill(yrow, yrow + spatial, bdata[g * ocg + oc_local]);
         }
-        float* yg = ydata + n * y_img + static_cast<std::int64_t>(g) * ocg * spatial;
-        float beta = 0.0f;
-        if (bdata != nullptr) {
-          for (int oc_local = 0; oc_local < ocg; ++oc_local) {
-            float* yrow = yg + static_cast<std::int64_t>(oc_local) * spatial;
-            std::fill(yrow, yrow + spatial, bdata[g * ocg + oc_local]);
-          }
-          beta = 1.0f;
-        }
-        // ReLU-only fusion runs inside the GEMM store (zero extra pass);
-        // a folded norm needs the per-channel affine first, so it takes
-        // the post-loop with the ReLU behind it.
-        gemm(ocg, spatial, k_dim, wdata + static_cast<std::int64_t>(g) * ocg * k_dim, k_dim,
-             bmat, spatial, beta, yg, spatial, /*trans_b=*/false,
-             /*relu=*/fu_relu && fu_scale == nullptr);
-        if (fu_scale != nullptr)
-          for (int oc_local = 0; oc_local < ocg; ++oc_local)
-            fuse_plane(yg + static_cast<std::int64_t>(oc_local) * spatial, spatial,
-                       g * ocg + oc_local);
+        beta = 1.0f;
       }
-    };
-    if (jobs >= parallel_worker_count() && jobs > 1)
-      parallel_for_chunked(0, jobs, body);
-    else
-      body(0, jobs);
+      // ReLU-only fusion runs inside the GEMM store (zero extra pass);
+      // a folded norm needs the per-channel affine first, so it takes
+      // the post-loop with the ReLU behind it.
+      const bool relu = fu_relu && fu_scale == nullptr;
+      if (is_pointwise)
+        gemm(ocg, spatial, k_dim, wg, k_dim, ximg, spatial, beta, yg, spatial,
+             /*trans_b=*/false, relu);
+      else
+        gemm_patches(ocg, wg, k_dim, patches_of(cfg_, ximg, icg, H, W, OH, OW), beta, yg,
+                     spatial, relu);
+      if (fu_scale != nullptr)
+        for (int oc_local = 0; oc_local < ocg; ++oc_local)
+          fuse_plane(yg + static_cast<std::int64_t>(oc_local) * spatial, spatial,
+                     g * ocg + oc_local);
+    });
     return;
   }
 

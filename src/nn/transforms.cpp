@@ -1,151 +1,11 @@
 #include "nn/transforms.hpp"
 
-#include <cassert>
 #include <iomanip>
-#include <memory>
 #include <sstream>
-#include <vector>
 
 #include "nn/layers.hpp"
 
 namespace mupod {
-
-namespace {
-
-// Deep copy of a layer (weights included).
-std::unique_ptr<Layer> clone_layer(const Layer& l) {
-  switch (l.kind()) {
-    case LayerKind::kInput: {
-      const auto& in = static_cast<const InputLayer&>(l);
-      return std::make_unique<InputLayer>(in.channels(), in.height(), in.width());
-    }
-    case LayerKind::kConv: {
-      const auto& c = static_cast<const Conv2DLayer&>(l);
-      auto out = std::make_unique<Conv2DLayer>(c.config());
-      *out->mutable_weights() = *c.weights();
-      if (c.bias() != nullptr) *out->mutable_bias() = *c.bias();
-      return out;
-    }
-    case LayerKind::kInnerProduct: {
-      const auto& f = static_cast<const InnerProductLayer&>(l);
-      auto out = std::make_unique<InnerProductLayer>(f.in_features(), f.out_features(),
-                                                     f.bias() != nullptr);
-      *out->mutable_weights() = *f.weights();
-      if (f.bias() != nullptr) *out->mutable_bias() = *f.bias();
-      return out;
-    }
-    case LayerKind::kReLU:
-      return std::make_unique<ReLULayer>();
-    case LayerKind::kMaxPool:
-    case LayerKind::kAvgPool:
-      return std::make_unique<PoolLayer>(static_cast<const PoolLayer&>(l).config());
-    case LayerKind::kBatchNormScale: {
-      const auto& bn = static_cast<const BatchNormScaleLayer&>(l);
-      auto out = std::make_unique<BatchNormScaleLayer>(static_cast<int>(bn.scale().numel()));
-      out->scale() = bn.scale();
-      out->shift() = bn.shift();
-      return out;
-    }
-    case LayerKind::kEltwiseAdd:
-      return std::make_unique<EltwiseAddLayer>();
-    case LayerKind::kConcat:
-      return std::make_unique<ConcatLayer>();
-    case LayerKind::kLRN:
-      return std::make_unique<LRNLayer>(static_cast<const LRNLayer&>(l).config());
-    case LayerKind::kSoftmax:
-      return std::make_unique<SoftmaxLayer>();
-    case LayerKind::kFlatten:
-      return std::make_unique<FlattenLayer>();
-    case LayerKind::kDropout:
-      return std::make_unique<DropoutLayer>();
-  }
-  return nullptr;
-}
-
-// BN node ids foldable into their producing conv.
-std::vector<bool> foldable_bn(const Network& net) {
-  std::vector<bool> foldable(static_cast<std::size_t>(net.num_nodes()), false);
-  for (int id = 0; id < net.num_nodes(); ++id) {
-    const auto& node = net.node(id);
-    if (node.layer->kind() != LayerKind::kBatchNormScale) continue;
-    if (node.inputs.size() != 1) continue;
-    const auto& producer = net.node(node.inputs[0]);
-    if (producer.layer->kind() != LayerKind::kConv) continue;
-    if (producer.children.size() != 1) continue;  // conv must feed only the BN
-    foldable[static_cast<std::size_t>(id)] = true;
-  }
-  return foldable;
-}
-
-}  // namespace
-
-int count_foldable_batchnorm(const Network& net) {
-  const auto f = foldable_bn(net);
-  int count = 0;
-  for (bool b : f) count += b ? 1 : 0;
-  return count;
-}
-
-Network fold_batchnorm(const Network& net) {
-  assert(net.finalized());
-  const std::vector<bool> fold = foldable_bn(net);
-
-  Network out(net.name());
-  // old node id -> name of the node carrying its value in the new graph.
-  std::vector<std::string> alias(static_cast<std::size_t>(net.num_nodes()));
-
-  for (int id = 0; id < net.num_nodes(); ++id) {
-    const auto& node = net.node(id);
-
-    if (fold[static_cast<std::size_t>(id)]) {
-      // Fuse into the (already emitted) conv: rescale its weights in place.
-      const int conv_id = node.inputs[0];
-      const std::string conv_name = alias[static_cast<std::size_t>(conv_id)];
-      const auto& bn = static_cast<const BatchNormScaleLayer&>(*node.layer);
-      auto& conv = static_cast<Conv2DLayer&>(out.layer(out.node_id(conv_name)));
-      Tensor& w = *conv.mutable_weights();
-      Tensor* b = conv.mutable_bias();
-      assert(b != nullptr && "fold_batchnorm requires conv bias (see clone note)");
-      const int oc = w.shape().dim(0);
-      const std::int64_t per_filter = w.numel() / oc;
-      for (int c = 0; c < oc; ++c) {
-        const float s = bn.scale()[c];
-        for (std::int64_t i = 0; i < per_filter; ++i) w[c * per_filter + i] *= s;
-        (*b)[c] = (*b)[c] * s + bn.shift()[c];
-      }
-      alias[static_cast<std::size_t>(id)] = conv_name;  // consumers read the conv
-      continue;
-    }
-
-    std::unique_ptr<Layer> layer;
-    if (node.layer->kind() == LayerKind::kConv) {
-      // Convs that will absorb a BN need a bias tensor; cheapest to give
-      // every cloned conv one (zero-initialized when absent).
-      const auto& c = static_cast<const Conv2DLayer&>(*node.layer);
-      Conv2DLayer::Config cfg = c.config();
-      const bool had_bias = cfg.has_bias;
-      cfg.has_bias = true;
-      auto conv = std::make_unique<Conv2DLayer>(cfg);
-      *conv->mutable_weights() = *c.weights();
-      if (had_bias) *conv->mutable_bias() = *c.bias();
-      layer = std::move(conv);
-    } else {
-      layer = clone_layer(*node.layer);
-    }
-
-    std::vector<std::string> inputs;
-    inputs.reserve(node.inputs.size());
-    for (int in : node.inputs) inputs.push_back(alias[static_cast<std::size_t>(in)]);
-    if (node.layer->kind() == LayerKind::kInput) {
-      out.add(node.name, std::move(layer), std::vector<int>{});
-    } else {
-      out.add(node.name, std::move(layer), inputs);
-    }
-    alias[static_cast<std::size_t>(id)] = node.name;
-  }
-  out.finalize();
-  return out;
-}
 
 std::string network_summary(const Network& net) {
   std::ostringstream os;

@@ -1,8 +1,6 @@
-// Graph transforms and introspection utilities for deployment:
-//  * fold_batchnorm — absorbs inference-mode BatchNormScale layers into
-//    the preceding convolution (the standard pre-quantization pass; the
-//    paper's Caffe models arrive pre-folded, netdef users may not);
-//  * network_summary — torchsummary-style table of the DAG.
+// Introspection of a network: network_summary, a torchsummary-style
+// table of the DAG. (Folding a BatchNormScale into its producer is the
+// graph compiler's fold-norm rule, src/compile/graph_compiler.hpp.)
 #pragma once
 
 #include <string>
@@ -10,18 +8,6 @@
 #include "nn/network.hpp"
 
 namespace mupod {
-
-// Returns a new network equivalent to `net` with every
-// conv -> BatchNormScale pair fused into a single convolution
-// (w' = w * scale[oc], b' = b * scale[oc] + shift[oc]). A BatchNormScale
-// is foldable when its only input is a convolution that feeds nothing
-// else. Unfoldable BatchNormScale layers are kept as-is.
-// Node names are preserved (the folded conv keeps the conv's name; the
-// BN node disappears, and its consumers are rewired to the conv).
-Network fold_batchnorm(const Network& net);
-
-// Number of conv+bn pairs that fold_batchnorm would fuse.
-int count_foldable_batchnorm(const Network& net);
 
 // Human-readable summary: one row per node with kind, output shape,
 // #params, #MACs; plus totals.

@@ -25,8 +25,9 @@
 // `serve.sigma.hits`, `pool.worker3.busy_us`. Units are suffixes
 // (`_us`, `_ms`) when not dimensionless. The kernel layer reports
 // `gemm.calls` / `gemm.flops` / `gemm.tiles` (counters) and
-// `tensor.scratch.bytes` (gauge: resident per-thread packing/im2col
-// arenas) — see docs/method.md §11. The online inference server reports the `infer.*` family
+// `tensor.scratch.bytes` (gauge: resident per-thread packing and
+// bordered-image arenas) — see docs/method.md §11. The online inference
+// server reports the `infer.*` family
 // (docs/method.md §14), mirrored field-for-field by ServerStats
 // (src/infer/server.hpp; asserted by the symmetry test in
 // tests/test_infer.cpp): request

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <type_traits>
 
 #include "obs/metrics.hpp"
+#include "tensor/b_view.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/tensor.hpp"
@@ -50,33 +52,6 @@ void pack_a_strip(const float* a, std::int64_t lda, std::int64_t i0, int mr, int
     for (; r < mr_cur; ++r) ap[kk * mr + r] = src[r * lda + kk];
     for (; r < mr; ++r) ap[kk * mr + r] = 0.0f;
   }
-}
-
-// Packs columns [j0, j0+nr_cur) x ks [p0, p0+kc) of B into an nr-wide
-// strip bp[kk*nr + c], zero-padding columns beyond nr_cur. With trans_b
-// the memory holds Bᵀ (n x k), so the pack is the transpose gather.
-void pack_b_strip(const float* b, std::int64_t ldb, bool trans_b, std::int64_t j0, int nr,
-                  int nr_cur, std::int64_t p0, int kc, float* bp) {
-  if (!trans_b) {
-    const float* src = b + p0 * ldb + j0;
-    if (nr_cur == nr) {
-      for (int kk = 0; kk < kc; ++kk)
-        for (int c = 0; c < nr; ++c) bp[kk * nr + c] = src[kk * ldb + c];
-      return;
-    }
-    for (int kk = 0; kk < kc; ++kk) {
-      int c = 0;
-      for (; c < nr_cur; ++c) bp[kk * nr + c] = src[kk * ldb + c];
-      for (; c < nr; ++c) bp[kk * nr + c] = 0.0f;
-    }
-    return;
-  }
-  for (int c = 0; c < nr_cur; ++c) {
-    const float* src = b + (j0 + c) * ldb + p0;
-    for (int kk = 0; kk < kc; ++kk) bp[kk * nr + c] = src[kk];
-  }
-  for (int c = nr_cur; c < nr; ++c)
-    for (int kk = 0; kk < kc; ++kk) bp[kk * nr + c] = 0.0f;
 }
 
 // ---------------------------------------------------------------------------
@@ -214,8 +189,8 @@ unsigned char* GemmScratch::grow_bytes(std::vector<unsigned char>& v, std::size_
 }
 
 std::size_t GemmScratch::bytes() const {
-  return (a_.capacity() + b_.capacity() + col_.capacity()) * sizeof(float) + qa_.capacity() +
-         qb_.capacity() + qcol_.capacity() + qact_.capacity();
+  return (a_.capacity() + b_.capacity()) * sizeof(float) + qa_.capacity() + qb_.capacity() +
+         qcol_.capacity() + qact_.capacity();
 }
 
 GemmScratch::~GemmScratch() {
@@ -232,12 +207,14 @@ std::int64_t gemm_scratch_bytes() { return g_scratch_bytes.load(std::memory_orde
 // ---------------------------------------------------------------------------
 // Driver
 
-void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
-          const float* a, std::int64_t lda,
-          const float* b, std::int64_t ldb,
-          float beta, float* c, std::int64_t ldc,
-          bool trans_b, bool relu) {
-  if (m <= 0 || n <= 0) return;
+namespace {
+
+// The shared front of gemm() and gemm_patches(): counts the call, and
+// finishes it when there is nothing to multiply. Returns whether the
+// blocked product still has to run.
+bool gemm_begin(const KernelRegistry& reg, std::int64_t m, std::int64_t n, std::int64_t k,
+                float beta, float* c, std::int64_t ldc, bool relu) {
+  if (m <= 0 || n <= 0) return false;
   if (k <= 0) {
     // Degenerate product is all-zero; apply beta (and the fused ReLU) only.
     for (std::int64_t i = 0; i < m; ++i) {
@@ -249,25 +226,40 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
       if (relu)
         for (std::int64_t j = 0; j < n; ++j) crow[j] = relu_exact(crow[j]);
     }
-    return;
+    return false;
   }
-
-  // One registry read per call: the ISA (and so the geometry) is stable
-  // for the whole GEMM even if set_kernel_isa races from a test harness.
-  const KernelRegistry& reg = kernel_registry();
-  const int MR = reg.mr;
-  const int NR = reg.nr;
-  const std::int64_t MC = static_cast<std::int64_t>(kMcStrips) * MR;
-  const std::int64_t NC = static_cast<std::int64_t>(kNcStrips) * NR;
-
   if (metrics_enabled()) {
     GemmCounters& gc = gemm_counters();
     gc.calls->add(1);
     gc.flops->add(2 * m * n * k);
-    gc.tiles->add(ceil_div(m, MR) * ceil_div(n, NR) * ceil_div(k, KC));
+    gc.tiles->add(ceil_div(m, reg.mr) * ceil_div(n, reg.nr) * ceil_div(k, KC));
     note_sgemm_kernel(gc, reg.isa);
   }
+  return true;
+}
 
+// Calls make(std::integral_constant<int, NR>) with the registry's strip
+// width as a compile-time constant, so a B view's strip loops unroll.
+template <typename F>
+void with_strip_width(const KernelRegistry& reg, const F& make) {
+  if (reg.nr == kMaxNr) {
+    make(std::integral_constant<int, kMaxNr>{});
+  } else {
+    assert(reg.nr == kMaxNr / 2);
+    make(std::integral_constant<int, kMaxNr / 2>{});
+  }
+}
+
+// The blocked product with B behind view V, whose strip width NR equals
+// the registry's.
+template <int NR, typename V>
+void gemm_blocked(const KernelRegistry& reg, std::int64_t m, std::int64_t n, std::int64_t k,
+                  const float* a, std::int64_t lda, const V& bv, float beta, float* c,
+                  std::int64_t ldc, bool relu) {
+  assert(reg.nr == NR);
+  const int MR = reg.mr;
+  const std::int64_t MC = static_cast<std::int64_t>(kMcStrips) * MR;
+  const std::int64_t NC = static_cast<std::int64_t>(kNcStrips) * NR;
   const bool par = 2 * m * n * k >= kSerialMacCutoff;
 
   for (std::int64_t jc = 0; jc < n; jc += NC) {
@@ -283,15 +275,24 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
       // value exactly once.
       const bool relu_pc = relu && pc + KC >= k;
 
-      // Pack the KC x NC panel of B into NR strips. The buffer belongs to
-      // the calling thread's arena; tile tasks only read it.
+      // Pack the KC x NC panel of B into NR strips, bp[kk*NR + c] per
+      // strip, from the view's k-rows (edge columns arrive zero-padded).
+      // The buffer belongs to the calling thread's arena; tile tasks only
+      // read it.
       float* bp = GemmScratch::local().packed_b(static_cast<std::size_t>(n_js) * kc * NR);
       const auto pack_b_range = [&](std::int64_t sb, std::int64_t se) {
+        const float* rows[kPackRows];
+        alignas(32) float tmp[(kPackRows + 1) * NR];
         for (std::int64_t js = sb; js < se; ++js) {
           const std::int64_t j0 = jc + js * NR;
           const int nr_cur = static_cast<int>(std::min<std::int64_t>(NR, n - j0));
-          pack_b_strip(b, ldb, trans_b, j0, NR, nr_cur, pc, kc,
-                       bp + static_cast<std::size_t>(js) * kc * NR);
+          float* strip = bp + static_cast<std::size_t>(js) * kc * NR;
+          for (std::int64_t kb = pc; kb < pc + kc; kb += kPackRows) {
+            const std::int64_t ke = std::min<std::int64_t>(pc + kc, kb + kPackRows);
+            bv.rows(j0, nr_cur, kb, ke, rows, tmp);
+            for (std::int64_t kk = kb; kk < ke; ++kk)
+              std::copy_n(rows[kk - kb], NR, strip + (kk - pc) * NR);
+          }
         }
       };
       if (par && n_js >= 4)
@@ -349,6 +350,36 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
         tile_range(0, n_ic * n_js);
     }
   }
+}
+
+}  // namespace
+
+void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
+          const float* a, std::int64_t lda,
+          const float* b, std::int64_t ldb,
+          float beta, float* c, std::int64_t ldc,
+          bool trans_b, bool relu) {
+  // One registry read per call: the ISA (and so the geometry) is stable
+  // for the whole GEMM even if set_kernel_isa races from a test harness.
+  const KernelRegistry& reg = kernel_registry();
+  if (!gemm_begin(reg, m, n, k, beta, c, ldc, relu)) return;
+  with_strip_width(reg, [&](auto nr) {
+    constexpr int NR = decltype(nr)::value;
+    gemm_blocked<NR>(reg, m, n, k, a, lda, MatrixB<float, NR>{b, ldb, trans_b, n, k}, beta, c,
+                     ldc, relu);
+  });
+}
+
+void gemm_patches(std::int64_t m, const float* a, std::int64_t lda, const ConvPatches& b,
+                  float beta, float* c, std::int64_t ldc, bool relu) {
+  const std::int64_t n = static_cast<std::int64_t>(b.out_h) * b.out_w;
+  const std::int64_t k = static_cast<std::int64_t>(b.channels) * b.kernel_h * b.kernel_w;
+  const KernelRegistry& reg = kernel_registry();
+  if (!gemm_begin(reg, m, n, k, beta, c, ldc, relu)) return;
+  with_strip_width(reg, [&](auto nr) {
+    constexpr int NR = decltype(nr)::value;
+    gemm_blocked<NR>(reg, m, n, k, a, lda, PatchB<float, NR>(b), beta, c, ldc, relu);
+  });
 }
 
 }  // namespace mupod

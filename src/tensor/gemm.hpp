@@ -11,14 +11,17 @@
 //
 // organised BLIS-style: B is packed KC x NC panel by panel into NR-wide
 // strips, A is packed MC x KC block by block into MR-wide strips, and an
-// MR x NR register-tile micro-kernel sweeps the packed panels. The inner
-// loops are plain C with compile-time tile sizes so GCC/Clang
-// auto-vectorize them — no intrinsics, so the kernel builds on any
-// target (MR/NR widen automatically when AVX is available, see gemm.cpp).
+// MR x NR register-tile micro-kernel sweeps the packed panels. MR, NR and
+// the micro-kernels come from the runtime-dispatched kernel registry
+// (tensor/kernels/kernels.hpp: intrinsic AVX2/FMA kernels or the scalar
+// reference). B strips are packed through the views the integer GEMM
+// shares (tensor/b_view.hpp), so a convolution's patch matrix is read
+// straight from the image (gemm_patches) and never materialized.
 //
 // Determinism contract (load-bearing: the plan-service determinism suite
 // asserts bit-identical runs and warm == cold plans):
-//   * blocking parameters are compile-time constants;
+//   * the blocking is fixed per ISA (MR/NR from the registry, KC/MC/NC
+//     derived from them), never from the worker count or the input;
 //   * each output tile is owned by exactly one task per KC step, KC steps
 //     are separated by a barrier (sequential loop in gemm()), and the
 //     micro-kernel accumulates k in a fixed ascending order;
@@ -34,9 +37,9 @@
 
 namespace mupod {
 
-// The compile-time blocking actually built into this binary (micro-tile
-// MR x NR, cache blocks MC/KC/NC). Exposed so tests can cover the
-// non-multiple edge cases of the real configuration.
+// The blocking of the active ISA (micro-tile MR x NR, cache blocks
+// MC/KC/NC). Exposed so tests can cover the non-multiple edge cases of
+// the real configuration.
 struct GemmBlocking {
   int mr, nr;
   int mc, kc, nc;
@@ -65,19 +68,40 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k,
           float beta, float* c, std::int64_t ldc,
           bool trans_b = false, bool relu = false);
 
+// The patch matrix of one image group of a convolution, never
+// materialized: B[k][j] for k = (ic, kh, kw) and j = (oh, ow) is
+// image[ic][oh*stride - pad + kh][ow*stride - pad + kw], zero in the
+// padding. The image is channels x height x width values (float for
+// gemm_patches, the call's integer type for qgemm_patches);
+// k = channels * kernel_h * kernel_w, n = out_h * out_w.
+struct ConvPatches {
+  const void* image = nullptr;
+  int channels = 0, height = 0, width = 0;
+  int kernel_h = 1, kernel_w = 1, stride = 1, pad = 0;
+  int out_h = 0, out_w = 0;
+};
+
+// gemm with the patch matrix as B (ldb = n, no transpose): the packers
+// read each B strip straight from the image. Same bits as gemm on the
+// materialized patch matrix.
+void gemm_patches(std::int64_t m, const float* a, std::int64_t lda, const ConvPatches& b,
+                  float beta, float* c, std::int64_t ldc, bool relu = false);
+
 // Per-thread grow-only scratch arena. One instance lives per worker
 // thread for the thread's lifetime; buffers only ever grow, so steady
 // state does zero heap traffic no matter how many forwards run. Slots:
-//   packed_a / packed_b  the GEMM packing buffers (packed_b is written by
-//                        the calling thread and read by tile tasks);
-//   col                  the im2col column buffer of Conv2DLayer;
-//   qa / qb / qcol /     byte-granular slots for the integer path
-//   qact                 (tensor/qgemm.cpp, nn/): packed int A strips, packed
-//                        int B panels, the zero-bordered image copy a conv
-//                        packs its B strips from, and the quantized copy
-//                        of a layer's input activations (qb/qcol/qact are
-//                        written by the calling thread and read by the
-//                        packing and tile tasks).
+//   packed_a / packed_b  the float GEMM packing buffers (packed_b is
+//                        written by the packing tasks and read by tile
+//                        tasks);
+//   qa / qb / qact       byte-granular slots for the integer path
+//                        (tensor/qgemm.cpp, nn/): packed int A strips,
+//                        packed int B panels, and the quantized copy of a
+//                        layer's input activations;
+//   qcol                 the zero-bordered image copy a patch view packs
+//                        B strips from, for either GEMM (bytes, whatever
+//                        the element type).
+// qb/qcol/qact are written by the calling thread and read by the packing
+// and tile tasks.
 // The returned pointers stay valid until the next call for the same slot
 // on the same thread with a larger size.
 class GemmScratch {
@@ -86,7 +110,6 @@ class GemmScratch {
 
   float* packed_a(std::size_t floats) { return grow(a_, floats); }
   float* packed_b(std::size_t floats) { return grow(b_, floats); }
-  float* col(std::size_t floats) { return grow(col_, floats); }
 
   unsigned char* qa(std::size_t bytes) { return grow_bytes(qa_, bytes); }
   unsigned char* qb(std::size_t bytes) { return grow_bytes(qb_, bytes); }
@@ -103,7 +126,7 @@ class GemmScratch {
   float* grow(std::vector<float>& v, std::size_t floats);
   unsigned char* grow_bytes(std::vector<unsigned char>& v, std::size_t bytes);
 
-  std::vector<float> a_, b_, col_;
+  std::vector<float> a_, b_;
   std::vector<unsigned char> qa_, qb_, qcol_, qact_;
 };
 

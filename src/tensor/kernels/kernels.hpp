@@ -4,8 +4,8 @@
 // speed on edge hardware — but that only materializes when the int8/int16
 // dot products map onto the CPU's multiply-accumulate instructions.
 // Compiler autovectorization of the generic C++ kernels in gemm.cpp /
-// qgemm.cpp does not get there (BENCH_forward.json showed int8 *losing*
-// to the blocked float path on every zoo net). This module adds
+// qgemm.cpp does not get there (bench_forward measured int8 *losing* to
+// the blocked float path on every zoo net). This module adds
 // hand-written intrinsic micro-kernels behind a registry selected once at
 // startup by CPUID:
 //

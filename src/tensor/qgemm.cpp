@@ -7,6 +7,7 @@
 #include <type_traits>
 
 #include "obs/metrics.hpp"
+#include "tensor/b_view.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/parallel.hpp"
@@ -17,9 +18,6 @@ namespace {
 
 // Same pool-dispatch crossover as the float GEMM.
 constexpr std::int64_t kSerialMacCutoff = 1 << 16;
-// k-rows a B packer takes per call: a multiple of every layout's unit,
-// small enough for the row buffer to live on the packing thread's stack.
-constexpr std::int64_t kPackRows = 64;
 
 inline std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
@@ -106,7 +104,7 @@ std::int64_t store_tile(const Acc acc[kQMr][kQNr], std::int64_t i0, std::int64_t
 //   pack_a          packs a kQMr-row A strip (edge rows zero-padded);
 //   pack_b          packs a B strip from its k-rows (rows[kk] points at
 //                   kQNr values, edge columns already zero — see the B
-//                   views below);
+//                   views of tensor/b_view.hpp);
 //   init            the accumulator tile before the micro-kernel;
 //   micro           accumulates `units` k-units into the tile.
 // Byte-exact definitions of the SIMD layouts: kernels.hpp and
@@ -257,164 +255,6 @@ struct QuadLayout {
   void micro(std::int64_t kq, const std::int32_t* ap, const std::int8_t* bp,
              Acc acc[kQMr][kQNr]) const {
     kernel(kq, ap, bp, &acc[0][0]);
-  }
-};
-
-// ---------------------------------------------------------------------------
-// B views: where the packers read B from. rows() points rows[kk - kb] at
-// the kQNr values of k-row kk in [kb, ke) of the strip at column j0 —
-// straight into B where those values are contiguous, else gathered into
-// tmp ((ke - kb + 1) x kQNr, zero beyond nr_cur). range() widens
-// [*mn, *mx] over every value B can hold with the registry's SIMD scan;
-// column() returns B as one contiguous column for the n == 1 GEMV.
-
-template <typename T>
-using RangeFn = void (*)(const T*, std::int64_t, std::int32_t*, std::int32_t*);
-
-// A row-major k x n matrix, or with trans_b its n x k transpose.
-template <typename T>
-struct MatrixB {
-  const T* b;
-  std::int64_t ldb;
-  bool trans_b;
-  std::int64_t n, k;
-
-  void rows(std::int64_t j0, int nr_cur, std::int64_t kb, std::int64_t ke, const T** rows,
-            T* tmp) const {
-    for (std::int64_t kk = kb; kk < ke; ++kk) {
-      if (!trans_b && nr_cur == kQNr) {
-        rows[kk - kb] = b + kk * ldb + j0;
-        continue;
-      }
-      T* dst = tmp + (kk - kb) * kQNr;
-      int c = 0;
-      for (; c < nr_cur; ++c) dst[c] = trans_b ? b[(j0 + c) * ldb + kk] : b[kk * ldb + j0 + c];
-      for (; c < kQNr; ++c) dst[c] = T(0);
-      rows[kk - kb] = dst;
-    }
-  }
-
-  void range(RangeFn<T> scan, std::int32_t* mn, std::int32_t* mx) const {
-    const std::int64_t n_rows = trans_b ? n : k;
-    const std::int64_t cols = trans_b ? k : n;
-    if (ldb == cols) {
-      scan(b, n_rows * cols, mn, mx);
-      return;
-    }
-    for (std::int64_t i = 0; i < n_rows; ++i) scan(b + i * ldb, cols, mn, mx);
-  }
-
-  const T* column(T* buf) const {
-    const std::int64_t stride = trans_b ? 1 : ldb;
-    if (stride == 1) return b;
-    for (std::int64_t kk = 0; kk < k; ++kk) buf[kk] = b[kk * stride];
-    return buf;
-  }
-};
-
-// The patch matrix of one convolution image group (QPatchB):
-// B[(ic, kh, kw)][(oh, ow)] = x[ic][oh*s - pad + kh][ow*s - pad + kw].
-// The packers read it from xp, a zero-bordered copy of the image built
-// once per call (qcol slot): hp = H + 2*pad rows of wp = W + 2*pad + kQNr
-// values, so every tap of a strip indexes inside it and the padding
-// reads as zeros. A full strip of a stride-1 conv that stays in one
-// output row points straight into xp; other strips gather one run per
-// output row.
-template <typename T>
-struct PatchB {
-  const T* x;
-  QPatchB p;
-  const T* xp = nullptr;
-  std::int64_t hp = 0, wp = 0;
-
-  PatchB(const T* image, const QPatchB& patches) : x(image), p(patches) {
-    hp = p.height + 2 * p.pad;
-    wp = p.width + 2 * p.pad + kQNr;
-    const std::int64_t count = p.channels * hp * wp;
-    T* pad = reinterpret_cast<T*>(
-        GemmScratch::local().qcol(static_cast<std::size_t>(count) * sizeof(T)));
-    std::fill_n(pad, count, T(0));
-    const T* src = x;
-    for (int ic = 0; ic < p.channels; ++ic)
-      for (int ih = 0; ih < p.height; ++ih, src += p.width)
-        std::copy_n(src, p.width, pad + (ic * hp + ih + p.pad) * wp + p.pad);
-    xp = pad;
-  }
-
-  void rows(std::int64_t j0, int nr_cur, std::int64_t kb, std::int64_t ke, const T** rows,
-            T* tmp) const {
-    // The strip's columns as runs along output rows: run r covers strip
-    // columns [off, off + len) at output row oh, from output column ow.
-    struct Run {
-      int oh, ow, off, len;
-    };
-    Run runs[kQNr];
-    int n_runs = 0;
-    for (int off = 0; off < nr_cur;) {
-      const std::int64_t j = j0 + off;
-      const int oh = static_cast<int>(j / p.out_w);
-      const int ow = static_cast<int>(j % p.out_w);
-      const int len = std::min(p.out_w - ow, nr_cur - off);
-      runs[n_runs++] = {oh, ow, off, len};
-      off += len;
-    }
-    // Run r's output (oh, ow) reads xp from base[r] + tap offset, the tap
-    // (ic, kh, kw) of k-row kk sitting at (ic*hp + kh)*wp + kw; the
-    // offset is stepped along kk without divisions.
-    const T* base[kQNr];
-    for (int r = 0; r < n_runs; ++r)
-      base[r] = xp + static_cast<std::int64_t>(runs[r].oh) * p.stride * wp +
-                static_cast<std::int64_t>(runs[r].ow) * p.stride;
-    const bool direct = n_runs == 1 && nr_cur == kQNr && p.stride == 1;
-    const int taps = p.kernel_h * p.kernel_w;
-    std::int64_t ic = kb / taps;
-    int kh = static_cast<int>(kb % taps) / p.kernel_w;
-    int kw = static_cast<int>(kb % taps) % p.kernel_w;
-    std::int64_t off = (ic * hp + kh) * wp + kw;
-    for (std::int64_t kk = kb; kk < ke; ++kk) {
-      if (direct) {
-        rows[kk - kb] = base[0] + off;
-      } else {
-        T* dst = tmp + (kk - kb) * kQNr;
-        for (int r = 0; r < n_runs; ++r) {
-          const T* src = base[r] + off;
-          if (p.stride == 1) {
-            // A fixed kQNr copy (xp rows carry kQNr of slack); what
-            // spills past the run is overwritten by the next run, the
-            // next row or lands in tmp's spare row.
-            std::copy_n(src, kQNr, dst + runs[r].off);
-          } else {
-            for (int t = 0; t < runs[r].len; ++t) dst[runs[r].off + t] = src[t * p.stride];
-          }
-        }
-        std::fill(dst + nr_cur, dst + kQNr, T(0));
-        rows[kk - kb] = dst;
-      }
-      if (++kw < p.kernel_w) {
-        ++off;
-        continue;
-      }
-      kw = 0;
-      if (++kh == p.kernel_h) {
-        kh = 0;
-        ++ic;
-      }
-      off = (ic * hp + kh) * wp;
-    }
-  }
-
-  // A patch holds only image values and zeros.
-  void range(RangeFn<T> scan, std::int32_t* mn, std::int32_t* mx) const {
-    scan(x, static_cast<std::int64_t>(p.channels) * p.height * p.width, mn, mx);
-  }
-
-  const T* column(T* buf) const {
-    std::int64_t kk = 0;
-    for (int ic = 0; ic < p.channels; ++ic)
-      for (int kh = 0; kh < p.kernel_h; ++kh)
-        for (int kw = 0; kw < p.kernel_w; ++kw, ++kk)
-          buf[kk] = xp[(ic * hp + kh) * wp + kw];
-    return buf;
   }
 };
 
@@ -816,43 +656,31 @@ void qgemm(QType type, std::int64_t m, std::int64_t n, std::int64_t k,
            void* c, std::int64_t ldc, const QGemmEpilogue& ep, bool trans_b) {
   if (m <= 0 || n <= 0) return;
   if (k < 0) k = 0;
+  const auto run = [&](auto tag) {
+    using T = decltype(tag);
+    qgemm_typed(m, n, k, static_cast<const T*>(a), lda,
+                MatrixB<T, kQNr>{static_cast<const T*>(b), ldb, trans_b, n, k}, c, ldc, ep);
+  };
   switch (type) {
-    case QType::kInt8:
-      qgemm_typed(m, n, k, static_cast<const std::int8_t*>(a), lda,
-                  MatrixB<std::int8_t>{static_cast<const std::int8_t*>(b), ldb, trans_b, n, k}, c,
-                  ldc, ep);
-      break;
-    case QType::kInt16:
-      qgemm_typed(m, n, k, static_cast<const std::int16_t*>(a), lda,
-                  MatrixB<std::int16_t>{static_cast<const std::int16_t*>(b), ldb, trans_b, n, k},
-                  c, ldc, ep);
-      break;
-    case QType::kInt32:
-      qgemm_typed(m, n, k, static_cast<const std::int32_t*>(a), lda,
-                  MatrixB<std::int32_t>{static_cast<const std::int32_t*>(b), ldb, trans_b, n, k},
-                  c, ldc, ep);
-      break;
+    case QType::kInt8: run(std::int8_t{}); break;
+    case QType::kInt16: run(std::int16_t{}); break;
+    case QType::kInt32: run(std::int32_t{}); break;
   }
 }
 
 void qgemm_patches(QType type, std::int64_t m, const void* a, std::int64_t lda,
-                   const QPatchB& b, void* c, std::int64_t ldc, const QGemmEpilogue& ep) {
+                   const ConvPatches& b, void* c, std::int64_t ldc, const QGemmEpilogue& ep) {
   const std::int64_t n = static_cast<std::int64_t>(b.out_h) * b.out_w;
   const std::int64_t k = static_cast<std::int64_t>(b.channels) * b.kernel_h * b.kernel_w;
   if (m <= 0 || n <= 0) return;
+  const auto run = [&](auto tag) {
+    using T = decltype(tag);
+    qgemm_typed(m, n, k, static_cast<const T*>(a), lda, PatchB<T, kQNr>(b), c, ldc, ep);
+  };
   switch (type) {
-    case QType::kInt8:
-      qgemm_typed(m, n, k, static_cast<const std::int8_t*>(a), lda,
-                  PatchB<std::int8_t>(static_cast<const std::int8_t*>(b.image), b), c, ldc, ep);
-      break;
-    case QType::kInt16:
-      qgemm_typed(m, n, k, static_cast<const std::int16_t*>(a), lda,
-                  PatchB<std::int16_t>(static_cast<const std::int16_t*>(b.image), b), c, ldc, ep);
-      break;
-    case QType::kInt32:
-      qgemm_typed(m, n, k, static_cast<const std::int32_t*>(a), lda,
-                  PatchB<std::int32_t>(static_cast<const std::int32_t*>(b.image), b), c, ldc, ep);
-      break;
+    case QType::kInt8: run(std::int8_t{}); break;
+    case QType::kInt16: run(std::int16_t{}); break;
+    case QType::kInt32: run(std::int32_t{}); break;
   }
 }
 

@@ -30,8 +30,9 @@
 // int32, and the fallback), k-PAIR (AVX2 vpmaddwd, int8/int16) or k-QUAD
 // (AVX2 vpmaddubsw, int8 with every |b| <= 64). The kQMr x kQNr tile
 // geometry and the SIMD layouts are defined in tensor/kernels/kernels.hpp.
-// The packers read B as the k-rows of one strip, from a matrix or
-// straight from a convolution image (qgemm_patches). Full tiles with
+// The packers read B as the k-rows of one strip through the B views the
+// float GEMM shares (tensor/b_view.hpp): a matrix, or straight from a
+// convolution image (qgemm_patches). Full tiles with
 // int32 accumulators store through the registry's SIMD epilogue when the
 // bound above holds; every other tile through the scalar store_tile.
 //
@@ -45,7 +46,7 @@
 //
 // Scratch reuses the per-thread GemmScratch arena (byte slots qa/qb/
 // qcol/qact, counted in the same tensor.scratch.bytes gauge; qcol holds
-// the k-rows of the B strip being packed). Counters
+// the zero-bordered image copy a patch view reads). Counters
 // (when metrics are enabled): qgemm.calls, qgemm.macs, qgemm.tiles,
 // qgemm.requant.saturated.
 #pragma once
@@ -53,6 +54,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+
+#include "tensor/gemm.hpp"
 
 namespace mupod {
 
@@ -132,23 +135,12 @@ void qgemm(QType type, std::int64_t m, std::int64_t n, std::int64_t k,
            void* c, std::int64_t ldc,
            const QGemmEpilogue& ep, bool trans_b = false);
 
-// B given as the patch matrix of one image group of a convolution,
-// never materialized: B[k][j] for k = (ic, kh, kw) and j = (oh, ow) is
-// image[ic][oh*stride - pad + kh][ow*stride - pad + kw], zero in the
-// padding. The image is channels x height x width ints of the call's
-// type; k = channels * kernel_h * kernel_w, n = out_h * out_w.
-struct QPatchB {
-  const void* image = nullptr;
-  int channels = 0, height = 0, width = 0;
-  int kernel_h = 1, kernel_w = 1, stride = 1, pad = 0;
-  int out_h = 0, out_w = 0;
-};
-
-// qgemm with the patch matrix as B: the tile driver packs each B strip
-// straight from the image, so no im2col pass runs. Same results as qgemm
-// on the materialized patch matrix, byte for byte.
+// qgemm with the patch matrix of one image group (ConvPatches, ints of
+// `type`) as B: the tile driver packs each B strip straight from the
+// image, so no im2col pass runs. Same results as qgemm on the
+// materialized patch matrix, byte for byte.
 void qgemm_patches(QType type, std::int64_t m, const void* a, std::int64_t lda,
-                   const QPatchB& b, void* c, std::int64_t ldc, const QGemmEpilogue& ep);
+                   const ConvPatches& b, void* c, std::int64_t ldc, const QGemmEpilogue& ep);
 
 // ---------------------------------------------------------------------------
 // Saturating quantize-on-load: out[i] = clamp(nearbyint(x[i] / step), lo,

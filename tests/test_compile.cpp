@@ -176,6 +176,29 @@ TEST(Compile, ConvReluNormKeepsNormSeparate) {
   EXPECT_LT(g.nodes[bn].absorbed_into, 0) << "BN across a fused ReLU must keep executing";
 }
 
+TEST(Compile, MultiConsumerConvKeepsNormSeparate) {
+  // conv feeds BOTH a BN and an eltwise add: folding the BN into the
+  // conv's operands would change what the add reads, so it stays a step.
+  Rng rng(8);
+  Network net("nbranch");
+  const int in = net.add_input("in", 3, 6, 6);
+  Conv2DLayer::Config cc;
+  cc.in_channels = 3;
+  cc.out_channels = 4;
+  cc.pad = 1;
+  const int conv = net.add("conv", std::make_unique<Conv2DLayer>(cc), std::vector<int>{in});
+  init_layer(&net, conv, &rng);
+  const int bn = net.add("bn", std::make_unique<BatchNormScaleLayer>(4), std::vector<int>{conv});
+  init_norm(&net, bn, &rng);
+  net.add("add", std::make_unique<EltwiseAddLayer>(), std::vector<int>{bn, conv});
+  net.finalize();
+
+  const CompiledGraph g = GraphCompiler().rewrite(net);
+  EXPECT_EQ(g.nodes[conv].norm_src, -1);
+  EXPECT_EQ(g.coverage.norm_folded, 0);
+  EXPECT_LT(g.nodes[bn].absorbed_into, 0) << "BN on a two-consumer conv must keep executing";
+}
+
 TEST(Compile, MultiConsumerProducerBlocksFusionAndElision) {
   // conv0 feeds BOTH a ReLU and a second conv: nothing may absorb into
   // conv0, and with a plan its store must stay float (two readers).

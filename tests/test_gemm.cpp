@@ -1,6 +1,7 @@
 // The register-blocked packed GEMM (src/tensor/gemm.cpp) against a naive
-// triple-loop reference, the conv/fc layers that consume it, and the
-// determinism contract the plan-service suite depends on. Lives in the
+// triple-loop reference, its patch-view entry against the materialized
+// patch matrix, the conv/fc layers that consume it, and the determinism
+// contract the plan-service suite depends on. Lives in the
 // `sanitize`-labeled binary so run_sanitized_tests.sh covers the packing
 // and tile-task paths under both ASan and TSan (the TSan run pins
 // MUPOD_THREADS=4 so the tile parallelism actually crosses threads).
@@ -373,18 +374,78 @@ TEST(GemmEdgeTiles, BitwiseEqualToGenericEdgeUnderEveryIsa) {
 }
 
 // ---------------------------------------------------------------------------
+// Patch view: gemm_patches packs each B strip straight from a
+// zero-bordered copy of the image. Every packed strip must hold the
+// values of the materialized patch matrix in the same order, so the
+// product equals gemm on im2col_ref byte for byte, under every ISA.
+// Output widths below, at and off a multiple of NR make strips span
+// output rows; stride 4 and pad 2 stress the bordered copy's slack;
+// k_dim > KC packs B over several panels; each image group after the
+// first sits at an offset into the image.
+
+TEST(GemmPatches, BitwiseEqualToMaterializedPatchMatrixUnderEveryIsa) {
+  const KernelIsa saved = kernel_isa();
+  int isas_run = 0, multi_panel = 0;
+  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx2Fma}) {
+    if (!kernel_isa_available(isa)) continue;
+    set_kernel_isa(isa);
+    ++isas_run;
+    const int nr = gemm_blocking().nr;
+    const int kc = gemm_blocking().kc;
+    std::uint64_t seed = 9100;
+    for (const int K : {1, 2, 3, 5, 7, 11})
+      for (const int stride : {1, 2, 4})
+        for (const int pad : {0, 1, 2})
+          for (const int OW : {3, nr, 2 * nr + 3})
+            for (const int cig : {1, 3, 30}) {
+              const int groups = 2, m = 7, OH = 3;
+              const int H = (OH - 1) * stride + K - 2 * pad;
+              const int W = (OW - 1) * stride + K - 2 * pad;
+              if (H < 1 || W < 1) continue;
+              const std::int64_t k_dim = static_cast<std::int64_t>(cig) * K * K;
+              const std::int64_t n = static_cast<std::int64_t>(OH) * OW;
+              const std::vector<float> x = random_vec(
+                  static_cast<std::size_t>(groups) * cig * H * W, ++seed);
+              const std::vector<float> a = random_vec(static_cast<std::size_t>(m * k_dim), ++seed);
+              const std::vector<float> c0 = random_vec(static_cast<std::size_t>(m * n), ++seed);
+              std::vector<float> col;
+              for (int g = 0; g < groups; ++g) {
+                const float* ximg = x.data() + static_cast<std::int64_t>(g) * cig * H * W;
+                im2col_ref(ximg, cig, H, W, K, K, stride, pad, OH, OW, col);
+                const ConvPatches patches{ximg, cig, H, W, K, K, stride, pad, OH, OW};
+                for (const float beta : {0.0f, 1.0f})
+                  for (const bool relu : {false, true}) {
+                    std::vector<float> want = c0, got = c0;
+                    gemm(m, n, k_dim, a.data(), k_dim, col.data(), n, beta, want.data(), n,
+                         false, relu);
+                    gemm_patches(m, a.data(), k_dim, patches, beta, got.data(), n, relu);
+                    ASSERT_EQ(0, std::memcmp(want.data(), got.data(), want.size() * sizeof(float)))
+                        << kernel_isa_name(isa) << " K=" << K << " stride=" << stride
+                        << " pad=" << pad << " OW=" << OW << " cig=" << cig << " g=" << g
+                        << " beta=" << beta << " relu=" << relu;
+                  }
+              }
+              multi_panel += k_dim > kc;
+            }
+  }
+  set_kernel_isa(saved);
+  EXPECT_GE(isas_run, 1);
+  EXPECT_GT(multi_panel, 0);
+}
+
+// ---------------------------------------------------------------------------
 // Scratch arena + instrumentation
 
 TEST(GemmScratchArena, GrowsOnceAndReportsBytes) {
   // Force an allocation large enough to be new.
   GemmScratch& s = GemmScratch::local();
-  (void)s.col(1 << 12);
+  (void)s.packed_b(1 << 12);
   const std::int64_t after_first = gemm_scratch_bytes();
   EXPECT_GE(after_first, static_cast<std::int64_t>((1 << 12) * sizeof(float)));
   EXPECT_GT(s.bytes(), 0u);
 
   // Same-size reuse must not grow the arena.
-  (void)s.col(1 << 12);
+  (void)s.packed_b(1 << 12);
   EXPECT_EQ(gemm_scratch_bytes(), after_first);
 }
 
@@ -398,8 +459,8 @@ TEST(GemmMetrics, CountersAndScratchGauge) {
   gemm(40, 50, 600, a.data(), 600, b.data(), 50, 0.0f, c.data(), 50);
 
   // Trip a fresh scratch growth while metrics are on so the gauge is set.
-  (void)GemmScratch::local().col(static_cast<std::size_t>(gemm_scratch_bytes()) / sizeof(float) +
-                                 4096);
+  (void)GemmScratch::local().packed_b(
+      static_cast<std::size_t>(gemm_scratch_bytes()) / sizeof(float) + 4096);
 
   const MetricsSnapshot snap = metrics().snapshot();
   set_metrics_enabled(false);

@@ -38,6 +38,7 @@
 
 #include "compile/compiled_network.hpp"
 #include "compile/graph_compiler.hpp"
+#include "conv_reference.hpp"
 #include "nn/layers.hpp"
 #include "obs/metrics.hpp"
 #include "quant/fixed_point.hpp"
@@ -731,24 +732,8 @@ TEST(QGemmAcc32, RequantShiftEdgesCountSaturationsLikeStoreTile) {
 // ---------------------------------------------------------------------------
 // Patch-view conv: Conv2DLayer::forward_integer packs B straight from the
 // quantized image. It must equal, byte for byte, the same qgemm run on a
-// materialized im2col matrix (built here, independently), per (image,
-// group), under every available ISA.
-
-template <typename T>
-void im2col_ref(const T* x, int C, int H, int W, int K, int stride, int pad, int OH, int OW,
-                std::vector<T>& col) {
-  col.assign(static_cast<std::size_t>(C) * K * K * OH * OW, T(0));
-  std::size_t idx = 0;
-  for (int c = 0; c < C; ++c)
-    for (int kh = 0; kh < K; ++kh)
-      for (int kw = 0; kw < K; ++kw)
-        for (int oh = 0; oh < OH; ++oh)
-          for (int ow = 0; ow < OW; ++ow, ++idx) {
-            const int ih = oh * stride - pad + kh, iw = ow * stride - pad + kw;
-            if (ih >= 0 && ih < H && iw >= 0 && iw < W)
-              col[idx] = x[(static_cast<std::size_t>(c) * H + ih) * W + iw];
-          }
-}
+// materialized im2col matrix (im2col_ref, built independently in
+// conv_reference.hpp), per (image, group), under every available ISA.
 
 template <typename T>
 void run_patch_conv_case(int act_bits, bool bounded, bool requant, int stride, int pad, int OW,
@@ -809,7 +794,7 @@ void run_patch_conv_case(int act_bits, bool bounded, bool requant, int stride, i
   for (int n = 0; n < N; ++n)
     for (int g = 0; g < groups; ++g) {
       const T* ximg = xq.data() + (static_cast<std::int64_t>(n) * cfg.in_channels + g * cig) * H * W;
-      im2col_ref(ximg, cig, H, W, K, stride, pad, OH, OW, col);
+      im2col_ref(ximg, cig, H, W, K, K, stride, pad, OH, OW, col);
       QGemmEpilogue ep = q.ep;
       ep.bias_row = bias.data() + g * ocg;
       const std::int64_t y_off = (static_cast<std::int64_t>(n) * cfg.out_channels + g * ocg) * spatial;

@@ -11,8 +11,8 @@
 namespace mupod {
 namespace {
 
-// conv -> bn -> relu -> conv -> bn(shared conv) chain + a BN whose conv
-// feeds two consumers (unfoldable).
+// conv -> bn -> relu -> conv -> bn -> conv -> bn, the last conv also
+// feeding an eltwise add.
 Network make_bn_net() {
   Network net("bn_net");
   net.add_input("data", 2, 6, 6);
@@ -48,55 +48,6 @@ Network make_bn_net() {
     }
   }
   return net;
-}
-
-Tensor probe_input(std::uint64_t seed) {
-  Tensor x(Shape({3, 2, 6, 6}));
-  Rng rng(seed);
-  for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.gaussian());
-  return x;
-}
-
-TEST(FoldBatchnorm, CountsFoldablePairs) {
-  Network net = make_bn_net();
-  EXPECT_EQ(count_foldable_batchnorm(net), 2);  // bn1, bn2; bn3 blocked
-}
-
-TEST(FoldBatchnorm, PreservesForwardExactly) {
-  Network net = make_bn_net();
-  Network folded = fold_batchnorm(net);
-  const Tensor x = probe_input(3);
-  EXPECT_LT(max_abs_diff(net.forward(x), folded.forward(x)), 1e-4);
-}
-
-TEST(FoldBatchnorm, RemovesFoldedNodes) {
-  Network net = make_bn_net();
-  Network folded = fold_batchnorm(net);
-  EXPECT_EQ(folded.num_nodes(), net.num_nodes() - 2);
-  EXPECT_EQ(folded.node_id("bn1"), -1);
-  EXPECT_EQ(folded.node_id("bn2"), -1);
-  EXPECT_NE(folded.node_id("bn3"), -1);  // unfoldable BN survives
-  EXPECT_NE(folded.node_id("conv1"), -1);
-}
-
-TEST(FoldBatchnorm, MaterializesBiasWhenAbsent) {
-  Network net = make_bn_net();
-  Network folded = fold_batchnorm(net);
-  const auto& conv2 = static_cast<const Conv2DLayer&>(folded.layer(folded.node_id("conv2")));
-  ASSERT_NE(conv2.bias(), nullptr);
-  // Folded bias equals bn2's shift (conv2 had no bias of its own).
-  const auto& bn2 = static_cast<const BatchNormScaleLayer&>(net.layer(net.node_id("bn2")));
-  for (int c = 0; c < 4; ++c) EXPECT_FLOAT_EQ((*conv2.bias())[c], bn2.shift()[c]);
-}
-
-TEST(FoldBatchnorm, IdempotentOnBnFreeNets) {
-  ZooOptions opts;
-  opts.calibration_images = 0;
-  opts.head_images = 0;
-  ZooModel m = build_nin(opts);
-  EXPECT_EQ(count_foldable_batchnorm(m.net), 0);
-  Network folded = fold_batchnorm(m.net);
-  EXPECT_EQ(folded.num_nodes(), m.net.num_nodes());
 }
 
 TEST(NetworkSummary, ListsEveryNodeAndTotals) {

@@ -196,8 +196,8 @@ void Conv2DLayer::forward(const FloatFusion& fu, const Tensor& x, Tensor& out) c
   const bool is_pointwise = KH == 1 && KW == 1 && stride == 1 && pad == 0;
 
   // GEMM vs direct crossover, fit when the GEMM path still materialized
-  // im2col (contested-shape sweep, icg x ocg x K x HW, docs/method.md
-  // §11): GEMM for pointwise convs from ocg >= 2 or icg >= 2 or spatial
+  // the patch matrix (contested-shape sweep, icg x ocg x K x HW,
+  // docs/method.md §11): GEMM for pointwise convs from ocg >= 2 or icg >= 2 or spatial
   // >= 512, for patch convs from ocg >= 4, for ocg == 3 with a kernel
   // area <= 9 or spatial >= 256, for ocg == 2 with a kernel area <= 9 and
   // spatial >= 1024; the direct loop for the rest, depthwise included. Re-measured

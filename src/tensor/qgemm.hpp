@@ -137,8 +137,8 @@ void qgemm(QType type, std::int64_t m, std::int64_t n, std::int64_t k,
 
 // qgemm with the patch matrix of one image group (ConvPatches, ints of
 // `type`) as B: the tile driver packs each B strip straight from the
-// image, so no im2col pass runs. Same results as qgemm on the
-// materialized patch matrix, byte for byte.
+// image, never materializing the patch matrix. Same results as qgemm on
+// the materialized patch matrix, byte for byte.
 void qgemm_patches(QType type, std::int64_t m, const void* a, std::int64_t lda,
                    const ConvPatches& b, void* c, std::int64_t ldc, const QGemmEpilogue& ep);
 

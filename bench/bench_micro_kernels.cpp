@@ -135,7 +135,10 @@ void BM_ConvCrossover(benchmark::State& state) {
 }
 
 // Conv2DLayer::forward's GEMM branch, spelled out: per group the bias
-// rows prefilled, then gemm (pointwise) or gemm_patches with beta 1.
+// rows prefilled, then gemm (pointwise) or gemm_patches with beta 1. A
+// copy of production code, kept only to measure the crossover while the
+// gate still sends shapes to the direct loop: the change that retires
+// the direct loop measures through Conv2DLayer::forward and deletes this.
 void BM_ConvCrossoverGemm(benchmark::State& state) {
   const Conv2DLayer conv = crossover_conv(state);
   const Conv2DLayer::Config& cfg = conv.config();
@@ -183,21 +186,24 @@ void crossover_shapes(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_ConvCrossover)->Apply(crossover_shapes);
 BENCHMARK(BM_ConvCrossoverGemm)->Apply(crossover_shapes);
 
+// The batched float inner product, B read through the transposed view.
+//   arg: batch
 void BM_InnerProduct(benchmark::State& state) {
+  const int batch = static_cast<int>(state.range(0));
   InnerProductLayer fc(1024, 256);
   Rng rng(4);
   for (std::int64_t i = 0; i < fc.mutable_weights()->numel(); ++i)
     (*fc.mutable_weights())[i] = static_cast<float>(rng.gaussian());
-  const Tensor x = random_tensor(Shape({16, 1024}), 5);
+  const Tensor x = random_tensor(Shape({batch, 1024}), 5);
   Tensor y(out_of(fc, x.shape()));
   const Tensor* ins[1] = {&x};
   for (auto _ : state) {
     fc.forward(ins, y);
     benchmark::DoNotOptimize(y.data());
   }
-  state.SetItemsProcessed(state.iterations() * 16LL * 1024 * 256);
+  state.SetItemsProcessed(state.iterations() * batch * 1024LL * 256);
 }
-BENCHMARK(BM_InnerProduct);
+BENCHMARK(BM_InnerProduct)->Arg(8)->Arg(16)->Arg(64);
 
 void BM_QuantizeTensor(benchmark::State& state) {
   Tensor t = random_tensor(Shape({1 << 16}), 6);

@@ -13,8 +13,8 @@
 //
 // at batch cap 8 (exit code enforces it, float path). A cap-1 fleet phase
 // is also recorded as the no-batching reference — on a host whose kernels
-// have no batch-level efficiency (one core, per-image im2col) it bounds
-// what batching alone can add to aggregate throughput.
+// have no batch-level efficiency (one core, a patch-view GEMM per image)
+// it bounds what batching alone can add to aggregate throughput.
 //
 // Open-loop phases submit at a fixed offered rate with a deadline attached,
 // under and over the measured batched capacity: the overloaded run must

@@ -3,9 +3,11 @@
 // answers rows(j0, nr_cur, kb, ke, rows, tmp) by pointing rows[kk - kb]
 // at the NR values of k-row kk in [kb, ke) of the strip at column j0 —
 // straight into B where those values are contiguous, else gathered into
-// tmp ((ke - kb + 1) x NR, zero beyond nr_cur). The float GEMM copies
-// the rows into its packed strip; the integer layouts pack them into
-// their k-pair/k-quad units. The integer GEMM also asks a view for
+// tmp ((ke - kb + 1) x NR, zero beyond nr_cur). A view whose
+// kGatherSpills is false writes only tmp's first ke - kb rows, so the
+// float GEMM hands it the packed strip as tmp and copies only the rows
+// pointed elsewhere; the integer layouts pack the rows into their
+// k-pair/k-quad units. The integer GEMM also asks a view for
 // range() (widens [*mn, *mx] over every value B can hold, with the
 // registry's SIMD scan) and column() (B as one contiguous column for the
 // n == 1 GEMV).
@@ -35,6 +37,7 @@ using RangeFn = void (*)(const T*, std::int64_t, std::int32_t*, std::int32_t*);
 // NR-column strips.
 template <typename T, int NR>
 struct MatrixB {
+  static constexpr bool kGatherSpills = false;
   const T* b;
   std::int64_t ldb;
   bool trans_b;
@@ -51,7 +54,7 @@ struct MatrixB {
       }
       for (std::int64_t kk = kb; kk < ke; ++kk) {
         T* dst = tmp + (kk - kb) * NR;
-        std::fill(dst + nr_cur, dst + NR, T(0));
+        if (nr_cur < NR) std::fill(dst + nr_cur, dst + NR, T(0));
         rows[kk - kb] = dst;
       }
       return;
@@ -98,6 +101,8 @@ struct MatrixB {
 template <typename T, int NR>
 struct PatchB {
   static_assert(NR <= kMaxNr, "the bordered copy's slack is kMaxNr values");
+  // Stride-1 runs are copied NR values wide, into the next row of tmp.
+  static constexpr bool kGatherSpills = true;
   const T* x;
   ConvPatches p;
   const T* xp = nullptr;

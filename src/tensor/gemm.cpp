@@ -289,9 +289,12 @@ void gemm_blocked(const KernelRegistry& reg, std::int64_t m, std::int64_t n, std
           float* strip = bp + static_cast<std::size_t>(js) * kc * NR;
           for (std::int64_t kb = pc; kb < pc + kc; kb += kPackRows) {
             const std::int64_t ke = std::min<std::int64_t>(pc + kc, kb + kPackRows);
-            bv.rows(j0, nr_cur, kb, ke, rows, tmp);
-            for (std::int64_t kk = kb; kk < ke; ++kk)
-              std::copy_n(rows[kk - kb], NR, strip + (kk - pc) * NR);
+            // A view whose gathers stay inside their rows gathers straight
+            // into the strip; only rows it points elsewhere are copied.
+            float* dst = strip + (kb - pc) * NR;
+            bv.rows(j0, nr_cur, kb, ke, rows, V::kGatherSpills ? tmp : dst);
+            for (std::int64_t r = 0; r < ke - kb; ++r)
+              if (rows[r] != dst + r * NR) std::copy_n(rows[r], NR, dst + r * NR);
           }
         }
       };

@@ -1,4 +1,4 @@
-// Equivalence of the production convolution (direct and im2col+GEMM
+// Equivalence of the production convolution (direct and patch-view GEMM
 // paths) against a straightforward reference implementation, swept over a
 // parameter grid that straddles the GEMM-path cutoff.
 #include <gtest/gtest.h>

@@ -3,11 +3,11 @@
 // answers rows(j0, nr_cur, kb, ke, rows, tmp) by pointing rows[kk - kb]
 // at the NR values of k-row kk in [kb, ke) of the strip at column j0 —
 // straight into B where those values are contiguous, else gathered into
-// tmp ((ke - kb + 1) x NR, zero beyond nr_cur). A view whose
-// kGatherSpills is false writes only tmp's first ke - kb rows, so the
-// float GEMM hands it the packed strip as tmp and copies only the rows
-// pointed elsewhere; the integer layouts pack the rows into their
-// k-pair/k-quad units. The integer GEMM also asks a view for
+// tmp ((ke - kb + 1) x NR, zero beyond nr_cur), and returns whether it
+// gathered every row (rows[i] == tmp + i*NR). A view whose kGatherSpills
+// is false writes only tmp's first ke - kb rows, so the float GEMM hands
+// it the packed strip as tmp and copies rows only when they point into
+// B; the integer layouts pack the rows into their k-pair/k-quad units. The integer GEMM also asks a view for
 // range() (widens [*mn, *mx] over every value B can hold, with the
 // registry's SIMD scan) and column() (B as one contiguous column for the
 // n == 1 GEMV).
@@ -43,21 +43,18 @@ struct MatrixB {
   bool trans_b;
   std::int64_t n, k;
 
-  void rows(std::int64_t j0, int nr_cur, std::int64_t kb, std::int64_t ke, const T** rows,
+  bool rows(std::int64_t j0, int nr_cur, std::int64_t kb, std::int64_t ke, const T** rows,
             T* tmp) const {
     if (trans_b) {
-      // Column by column: each column of the strip is a contiguous run
-      // of Bᵀ's row j0 + c.
-      for (int c = 0; c < nr_cur; ++c) {
-        const T* src = b + (j0 + c) * ldb;
-        for (std::int64_t kk = kb; kk < ke; ++kk) tmp[(kk - kb) * NR + c] = src[kk];
-      }
+      // Row kk of the strip is column kk of Bᵀ's rows j0 .. j0+nr_cur.
+      const T* src = b + j0 * ldb;
       for (std::int64_t kk = kb; kk < ke; ++kk) {
         T* dst = tmp + (kk - kb) * NR;
+        for (int c = 0; c < nr_cur; ++c) dst[c] = src[c * ldb + kk];
         if (nr_cur < NR) std::fill(dst + nr_cur, dst + NR, T(0));
         rows[kk - kb] = dst;
       }
-      return;
+      return true;
     }
     for (std::int64_t kk = kb; kk < ke; ++kk) {
       const T* src = b + kk * ldb + j0;
@@ -70,6 +67,7 @@ struct MatrixB {
       std::fill(dst + nr_cur, dst + NR, T(0));
       rows[kk - kb] = dst;
     }
+    return nr_cur < NR;
   }
 
   void range(RangeFn<T> scan, std::int32_t* mn, std::int32_t* mx) const {
@@ -123,7 +121,7 @@ struct PatchB {
     xp = pad;
   }
 
-  void rows(std::int64_t j0, int nr_cur, std::int64_t kb, std::int64_t ke, const T** rows,
+  bool rows(std::int64_t j0, int nr_cur, std::int64_t kb, std::int64_t ke, const T** rows,
             T* tmp) const {
     // The strip's columns as runs along output rows: run r covers strip
     // columns [off, off + len) at output row oh, from output column ow.
@@ -183,6 +181,7 @@ struct PatchB {
       }
       off = (ic * hp + kh) * wp;
     }
+    return !direct;
   }
 
   // A patch holds only image values and zeros.

@@ -290,11 +290,13 @@ void gemm_blocked(const KernelRegistry& reg, std::int64_t m, std::int64_t n, std
           for (std::int64_t kb = pc; kb < pc + kc; kb += kPackRows) {
             const std::int64_t ke = std::min<std::int64_t>(pc + kc, kb + kPackRows);
             // A view whose gathers stay inside their rows gathers straight
-            // into the strip; only rows it points elsewhere are copied.
+            // into the strip; rows read in place, or gathered into tmp,
+            // are copied.
             float* dst = strip + (kb - pc) * NR;
-            bv.rows(j0, nr_cur, kb, ke, rows, V::kGatherSpills ? tmp : dst);
-            for (std::int64_t r = 0; r < ke - kb; ++r)
-              if (rows[r] != dst + r * NR) std::copy_n(rows[r], NR, dst + r * NR);
+            const bool gathered =
+                bv.rows(j0, nr_cur, kb, ke, rows, V::kGatherSpills ? tmp : dst);
+            if (!gathered || V::kGatherSpills)
+              for (std::int64_t r = 0; r < ke - kb; ++r) std::copy_n(rows[r], NR, dst + r * NR);
           }
         }
       };

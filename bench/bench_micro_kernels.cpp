@@ -270,8 +270,8 @@ BENCHMARK(BM_PartialForward_ResNet50_LastQuarter);
 // The peak model is the standard 2-SIMD-port ceiling for the instruction
 // each kernel leans on (Haswell/Zen class; a MAC counts as 2 ops):
 //
-//                      scalar(SSE2 autovec)   avx2            avx2fma
-//   sgemm              8  flop/cyc            16 (mul+add)    32 (2x fma)
+//                      scalar(SSE2 autovec)   avx2fma
+//   sgemm              8  flop/cyc            32 (2x fma)
 //   qgemm8 / qgemv8    8  op/cyc              64 (vpmaddwd 16 MAC x 2/cyc)
 //   qgemm8 maddubs     8                      64 (vpmaddubsw+vpmaddwd pair)
 //   qgemm16            8                      64 (madd; s64 widening eats in)
@@ -286,16 +286,11 @@ BENCHMARK(BM_PartialForward_ResNet50_LastQuarter);
 struct RoofSpec {
   const char* kernel;
   const char* unit;  // what "achieved"/"peak" count
-  double scalar_opc, avx2_opc, fma_opc;
+  double scalar_opc, fma_opc;
 };
 
 double ops_per_cycle(const RoofSpec& spec, KernelIsa isa) {
-  switch (isa) {
-    case KernelIsa::kScalar: return spec.scalar_opc;
-    case KernelIsa::kAvx2: return spec.avx2_opc;
-    case KernelIsa::kAvx2Fma: return spec.fma_opc;
-  }
-  return spec.scalar_opc;
+  return isa == KernelIsa::kAvx2Fma ? spec.fma_opc : spec.scalar_opc;
 }
 
 double now_ms() {
@@ -372,13 +367,13 @@ int run_roofline(const std::string& json_out, int reps) {
   const double ghz = estimate_ghz();
   const int workers = parallel_worker_count();
 
-  const RoofSpec kSgemm = {"sgemm", "flops", 8, 16, 32};
-  const RoofSpec kQ8Madd = {"qgemm8_madd", "ops", 8, 64, 64};
-  const RoofSpec kQ8Maddubs = {"qgemm8_maddubs", "ops", 8, 64, 64};
-  const RoofSpec kQ16 = {"qgemm16", "ops", 8, 64, 64};
-  const RoofSpec kQgemv8 = {"qgemv8", "ops", 8, 64, 64};
-  const RoofSpec kQuant8 = {"quantize8", "elems", 1, 8, 8};
-  const RoofSpec kQuant16 = {"quantize16", "elems", 1, 8, 8};
+  const RoofSpec kSgemm = {"sgemm", "flops", 8, 32};
+  const RoofSpec kQ8Madd = {"qgemm8_madd", "ops", 8, 64};
+  const RoofSpec kQ8Maddubs = {"qgemm8_maddubs", "ops", 8, 64};
+  const RoofSpec kQ16 = {"qgemm16", "ops", 8, 64};
+  const RoofSpec kQgemv8 = {"qgemv8", "ops", 8, 64};
+  const RoofSpec kQuant8 = {"quantize8", "elems", 1, 8};
+  const RoofSpec kQuant16 = {"quantize16", "elems", 1, 8};
 
   // GEMM shapes: multiples of the widest micro-tile so the full-tile
   // kernel (not the edge path) dominates; k past a few KC strips.
@@ -423,7 +418,7 @@ int run_roofline(const std::string& json_out, int reps) {
   };
 
   const KernelIsa saved = kernel_isa();
-  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx2Fma}) {
+  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2Fma}) {
     if (!kernel_isa_available(isa)) continue;
     set_kernel_isa(isa);
 

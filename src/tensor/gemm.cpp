@@ -15,7 +15,7 @@ namespace mupod {
 namespace {
 
 // Micro-tile geometry now comes from the dispatched kernel registry
-// (tensor/kernels/kernels.hpp): the AVX2/FMA intrinsic micro-kernels use a
+// (tensor/kernels/kernels.hpp): the FMA intrinsic micro-kernel uses a
 // 6x16 tile (12 of 16 ymm registers for the accumulator, leaving room for
 // the two B strip loads and the A broadcast), the scalar reference 4x8 on
 // baseline x86-64 (8 of 16 xmm) — so -DMUPOD_NATIVE is no longer needed
@@ -57,63 +57,31 @@ void pack_a_strip(const float* a, std::int64_t lda, std::int64_t i0, int mr, int
 // ---------------------------------------------------------------------------
 // Micro-kernels
 //
-// The full-tile kernel is the registry's sgemm_micro entry (scalar
-// reference, AVX2 mul+add, or FMA — see tensor/kernels/). All kernels
-// consume packed strips (A r-contiguous per k, B c-contiguous per k) and
-// accumulate k in ascending order into a local register tile, touching C
-// exactly once at the end — this fixed order is what makes the whole GEMM
-// bitwise independent of the task decomposition (within a fixed ISA).
+// Every tile runs the registry's sgemm_micro entry (the scalar reference
+// or the FMA kernel — see tensor/kernels/). It consumes packed strips (A
+// r-contiguous per k, B c-contiguous per k) and accumulates k in ascending
+// order into a local register tile, touching C exactly once at the end —
+// this fixed order is what makes the whole GEMM bitwise independent of the
+// task decomposition (within a fixed ISA).
 
-// Column-edge tile (nr_cur < nr, any mr_cur), generic over the registry
-// geometry. Accumulates column-major so the inner loop runs over the
-// r-contiguous packed A strip; only the valid nr_cur columns are computed,
-// which keeps the n == 1 (GEMV) case at full efficiency instead of
-// wasting nr-1 padded lanes.
-void micro_edge(int kc, int mr, int nr, int mr_cur, int nr_cur, const float* __restrict ap,
-                const float* __restrict bp, float* __restrict c, std::int64_t ldc, float beta) {
-  float acc[kMaxNr][kMaxMr] = {};
-  for (int kk = 0; kk < kc; ++kk) {
-    const float* __restrict ak = ap + static_cast<std::ptrdiff_t>(kk) * mr;
-    const float* __restrict bk = bp + static_cast<std::ptrdiff_t>(kk) * nr;
-    for (int cc = 0; cc < nr_cur; ++cc) {
-      const float bv = bk[cc];
-      for (int r = 0; r < mr; ++r) acc[cc][r] += ak[r] * bv;
-    }
-  }
-  for (int r = 0; r < mr_cur; ++r) {
-    float* crow = c + r * ldc;
-    if (beta == 0.0f) {
-      for (int cc = 0; cc < nr_cur; ++cc) crow[cc] = acc[cc][r];
-    } else if (beta == 1.0f) {
-      for (int cc = 0; cc < nr_cur; ++cc) crow[cc] += acc[cc][r];
-    } else {
-      for (int cc = 0; cc < nr_cur; ++cc) crow[cc] = beta * crow[cc] + acc[cc][r];
-    }
-  }
-}
-
-// Row-edge tile (mr_cur < mr, nr_cur == nr): the registry's mul+add kernel
-// over the zero-padded A strip into a local tile, then the valid rows merge
-// into C with micro_edge's store expressions. Both kernels form each
-// element as the same ascending-k chain of separate multiplies and adds, so
-// the result is bitwise micro_edge's, at SIMD speed instead of generic
-// loops that compute all mr rows anyway. The padded rows are discarded.
-void micro_row_edge(const KernelRegistry& reg, int kc, int mr_cur, const float* ap,
-                    const float* bp, float* __restrict c, std::int64_t ldc, float beta) {
+// Edge tile (mr_cur < mr or nr_cur < nr): the full-tile kernel over the
+// zero-padded strips, into a local mr x nr tile preloaded with C's valid
+// part; only that part is copied back. Each element so gets exactly the
+// full kernel's k-chain and beta merge, and its bits do not depend on the
+// kind of tile that holds it: a row of a batched GEMM equals the row
+// computed alone, and a column (n == 1, the GEMV) the column computed
+// alone. The padded lanes are discarded.
+void micro_padded(const KernelRegistry& reg, int kc, int mr_cur, int nr_cur, const float* ap,
+                  const float* bp, float* __restrict c, std::int64_t ldc, float beta) {
   const int nr = reg.nr;
   float tile[kMaxMr * kMaxNr];
-  reg.sgemm_micro_mul_add(kc, ap, bp, tile, nr, 0.0f);
-  for (int r = 0; r < mr_cur; ++r) {
-    const float* trow = tile + r * nr;
-    float* crow = c + r * ldc;
-    if (beta == 0.0f) {
-      for (int cc = 0; cc < nr; ++cc) crow[cc] = trow[cc];
-    } else if (beta == 1.0f) {
-      for (int cc = 0; cc < nr; ++cc) crow[cc] += trow[cc];
-    } else {
-      for (int cc = 0; cc < nr; ++cc) crow[cc] = beta * crow[cc] + trow[cc];
-    }
+  if (beta != 0.0f) {
+    // The kernel reads C only to merge it; padded lanes then read zeros.
+    std::fill_n(tile, reg.mr * nr, 0.0f);
+    for (int r = 0; r < mr_cur; ++r) std::copy_n(c + r * ldc, nr_cur, tile + r * nr);
   }
+  reg.sgemm_micro(kc, ap, bp, tile, nr, beta);
+  for (int r = 0; r < mr_cur; ++r) std::copy_n(tile + r * nr, nr_cur, c + r * ldc);
 }
 
 // ---------------------------------------------------------------------------
@@ -125,7 +93,6 @@ struct GemmCounters {
   Counter* tiles;
   // Per-kernel dispatch counters: which SGEMM micro-kernel served each call.
   Counter* sgemm_scalar;
-  Counter* sgemm_avx2;
   Counter* sgemm_fma;
 };
 
@@ -134,7 +101,6 @@ GemmCounters& gemm_counters() {
                         &metrics().counter("gemm.flops"),
                         &metrics().counter("gemm.tiles"),
                         &metrics().counter("kernel.sgemm.scalar"),
-                        &metrics().counter("kernel.sgemm.avx2"),
                         &metrics().counter("kernel.sgemm.fma")};
   return c;
 }
@@ -142,7 +108,6 @@ GemmCounters& gemm_counters() {
 void note_sgemm_kernel(GemmCounters& gc, KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kScalar: gc.sgemm_scalar->add(1); break;
-    case KernelIsa::kAvx2: gc.sgemm_avx2->add(1); break;
     case KernelIsa::kAvx2Fma: gc.sgemm_fma->add(1); break;
   }
 }
@@ -334,10 +299,8 @@ void gemm_blocked(const KernelRegistry& reg, std::int64_t m, std::int64_t n, std
             const int mr_cur = static_cast<int>(std::min<std::int64_t>(MR, mc_cur - ir * MR));
             const float* as = ap + static_cast<std::size_t>(ir) * kc * MR;
             float* ct = c + (i0 + ir * MR) * ldc + j0;
-            if (nr_cur < NR)
-              micro_edge(kc, MR, NR, mr_cur, nr_cur, as, bs, ct, ldc, beta_pc);
-            else if (mr_cur < MR)
-              micro_row_edge(reg, kc, mr_cur, as, bs, ct, ldc, beta_pc);
+            if (mr_cur < MR || nr_cur < NR)
+              micro_padded(reg, kc, mr_cur, nr_cur, as, bs, ct, ldc, beta_pc);
             else
               reg.sgemm_micro(kc, as, bs, ct, ldc, beta_pc);
             if (relu_pc) {

@@ -13,7 +13,7 @@
 // strips, A is packed MC x KC block by block into MR-wide strips, and an
 // MR x NR register-tile micro-kernel sweeps the packed panels. MR, NR and
 // the micro-kernels come from the runtime-dispatched kernel registry
-// (tensor/kernels/kernels.hpp: intrinsic AVX2/FMA kernels or the scalar
+// (tensor/kernels/kernels.hpp: the intrinsic FMA kernel or the scalar
 // reference). B strips are packed through the views the integer GEMM
 // shares (tensor/b_view.hpp), so a convolution's patch matrix is read
 // straight from the image (gemm_patches) and never materialized.
@@ -25,10 +25,15 @@
 //   * each output tile is owned by exactly one task per KC step, KC steps
 //     are separated by a barrier (sequential loop in gemm()), and the
 //     micro-kernel accumulates k in a fixed ascending order;
+//   * every tile, edge tiles included, runs the ISA's one micro-kernel;
 //   * there are no cross-thread reductions.
 // Consequently the result is bitwise independent of the worker count and
 // of whether the call runs serial (nested inside a parallel region) or
-// parallel — only the wall time changes.
+// parallel — only the wall time changes. An element's bits do not depend
+// on m, n or where its tile sits either: a row of C equals that row
+// computed alone (m = 1), a column the column computed alone (n = 1), and
+// a row of X·Wᵀ (trans_b) equals W·x, so a batched forward equals its
+// rows run one at a time.
 #pragma once
 
 #include <cstddef>

@@ -9,6 +9,7 @@
 #include "tensor/kernels/kernels.hpp"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -50,7 +51,7 @@ bool cpu_has_fma() {
 
 KernelIsa detect_isa() {
 #if defined(MUPOD_HAVE_AVX2_KERNELS)
-  if (cpu_has_avx2()) return cpu_has_fma() ? KernelIsa::kAvx2Fma : KernelIsa::kAvx2;
+  if (cpu_has_avx2() && cpu_has_fma()) return KernelIsa::kAvx2Fma;
 #endif
   return KernelIsa::kScalar;
 }
@@ -63,6 +64,10 @@ KernelIsa startup_isa() {
   if (const char* force = std::getenv("MUPOD_FORCE_KERNEL"); force != nullptr) {
     KernelIsa want;
     if (parse_kernel_isa(force, &want)) return clamp_available(want);
+    std::fprintf(stderr,
+                 "mupod: MUPOD_FORCE_KERNEL=%s is not a kernel ISA (accepted: scalar, avx2fma, "
+                 "avx2_fma, fma); running %s\n",
+                 force, kernel_isa_name(detected_kernel_isa()));
   }
   return detected_kernel_isa();
 }
@@ -86,7 +91,6 @@ void mirror_isa_gauge(KernelIsa isa) {
 const char* kernel_isa_name(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kScalar: return "scalar";
-    case KernelIsa::kAvx2: return "avx2";
     case KernelIsa::kAvx2Fma: return "avx2fma";
   }
   return "?";
@@ -96,10 +100,6 @@ bool parse_kernel_isa(const char* s, KernelIsa* out) {
   if (s == nullptr || out == nullptr) return false;
   if (std::strcmp(s, "scalar") == 0) {
     *out = KernelIsa::kScalar;
-    return true;
-  }
-  if (std::strcmp(s, "avx2") == 0) {
-    *out = KernelIsa::kAvx2;
     return true;
   }
   if (std::strcmp(s, "avx2fma") == 0 || std::strcmp(s, "avx2_fma") == 0 ||
@@ -116,17 +116,8 @@ KernelIsa detected_kernel_isa() {
 }
 
 bool kernel_isa_available(KernelIsa isa) {
-  if (isa == KernelIsa::kScalar) return true;
-#if defined(MUPOD_HAVE_AVX2_KERNELS)
-  const KernelIsa best = detected_kernel_isa();
-  // kAvx2 runs wherever kAvx2Fma does (FMA implies AVX2 here); kAvx2Fma
-  // needs the full detection.
-  if (isa == KernelIsa::kAvx2) return best != KernelIsa::kScalar;
-  return best == KernelIsa::kAvx2Fma;
-#else
-  (void)isa;
-  return false;
-#endif
+  // Scalar runs everywhere; the detected ISA is the only other one.
+  return isa == KernelIsa::kScalar || isa == detected_kernel_isa();
 }
 
 KernelIsa kernel_isa() { return active_isa().load(std::memory_order_relaxed); }
@@ -138,15 +129,11 @@ void set_kernel_isa(KernelIsa isa) {
 }
 
 const KernelRegistry& kernel_registry_for(KernelIsa isa) {
-  switch (clamp_available(isa)) {
-    case KernelIsa::kScalar: break;
 #if defined(MUPOD_HAVE_AVX2_KERNELS)
-    case KernelIsa::kAvx2: return internal::avx2_kernel_registry();
-    case KernelIsa::kAvx2Fma: return internal::avx2_fma_kernel_registry();
+  if (clamp_available(isa) == KernelIsa::kAvx2Fma) return internal::avx2_fma_kernel_registry();
 #else
-    default: break;
+  (void)isa;
 #endif
-  }
   return internal::scalar_kernel_registry();
 }
 

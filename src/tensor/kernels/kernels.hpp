@@ -11,22 +11,22 @@
 //
 //   kScalar    the generic C++ kernels (compiler-vectorized), the
 //              baseline ISA on every target and the correctness
-//              reference for the other entries;
-//   kAvx2      AVX2 integer kernels (vpmaddwd / vpmaddubsw dot products,
+//              reference for the other entry;
+//   kAvx2Fma   AVX2 integer kernels (vpmaddwd / vpmaddubsw dot products,
 //              B-strip packers, range scans, the int32 store epilogue,
-//              vectorized quantize-on-load) plus a mul+add 6x16 SGEMM
-//              micro-kernel;
-//   kAvx2Fma   kAvx2's integer kernels plus an FMA 6x16 SGEMM
-//              micro-kernel (vfmadd231ps).
+//              vectorized quantize-on-load) plus an FMA 6x16 SGEMM
+//              micro-kernel (vfmadd231ps). CPUs with AVX2 but no FMA
+//              run kScalar.
 //
 // Dispatch rules (docs/method.md §16):
 //   * the active ISA is detected once via CPUID (+ XGETBV for OS ymm
-//     state); MUPOD_FORCE_KERNEL={scalar,avx2,avx2fma} overrides it at
-//     startup, and set_kernel_isa() overrides it from tests/benches
-//     (not thread-safe: flip at startup or between forwards);
+//     state); MUPOD_FORCE_KERNEL={scalar,avx2fma} overrides it at
+//     startup (an unknown value is reported on stderr and ignored), and
+//     set_kernel_isa() overrides it from tests/benches (not thread-safe:
+//     flip at startup or between forwards);
 //   * forcing an ISA the build or CPU cannot run falls back to the
 //     detected one — kernel_isa() always names an ISA that can execute;
-//   * non-x86 builds compile only the scalar entry (the AVX2 TUs are
+//   * non-x86 builds compile only the scalar entry (the AVX2 TU is
 //     excluded by CMake and MUPOD_HAVE_AVX2_KERNELS is undefined).
 //
 // Determinism contract (extends tensor/gemm.hpp's): within a fixed ISA,
@@ -34,9 +34,11 @@
 // INTEGER kernels are additionally bitwise identical ACROSS ISAs — every
 // intrinsic path computes exact products and accumulates them in the same
 // modular integer arithmetic as the scalar reference (the property
-// battery asserts byte equality, not tolerance). Float kernels may differ
-// across ISAs by reassociation/FMA contraction only (bounded, see
-// docs/method.md §16).
+// battery asserts byte equality, not tolerance). Each ISA has ONE float
+// micro-kernel, which gemm() runs on every tile, edge tiles included, so
+// a float output's bits do not depend on its tile: a row of a batched
+// GEMM equals the row computed alone. Float results may differ across
+// ISAs by FMA contraction only (bounded, see docs/method.md §16).
 #pragma once
 
 #include <cstdint>
@@ -46,12 +48,14 @@ namespace mupod {
 // ---------------------------------------------------------------------------
 // ISA selection
 
-enum class KernelIsa : int { kScalar = 0, kAvx2 = 1, kAvx2Fma = 2 };
+// Value 1 named an AVX2 tier without FMA, since retired; the values stay
+// so `tensor.kernel.isa` readings keep their meaning.
+enum class KernelIsa : int { kScalar = 0, kAvx2Fma = 2 };
 
-// "scalar" / "avx2" / "avx2fma".
+// "scalar" / "avx2fma".
 const char* kernel_isa_name(KernelIsa isa);
-// Parses the MUPOD_FORCE_KERNEL spellings ("scalar", "avx2",
-// "avx2fma" / "avx2_fma" / "fma"). Returns false on unknown input.
+// Parses the MUPOD_FORCE_KERNEL spellings ("scalar", "avx2fma" /
+// "avx2_fma" / "fma"). Returns false on unknown input.
 bool parse_kernel_isa(const char* s, KernelIsa* out);
 
 // The best ISA this build + CPU + OS can run (CPUID, evaluated once).
@@ -60,7 +64,8 @@ KernelIsa detected_kernel_isa();
 bool kernel_isa_available(KernelIsa isa);
 
 // The active ISA. Startup value: MUPOD_FORCE_KERNEL if set, parseable and
-// available, else detected_kernel_isa(). Mirrored into the
+// available, else detected_kernel_isa(); a value that does not parse is
+// reported on stderr with the accepted spellings. Mirrored into the
 // `tensor.kernel.isa` gauge whenever metrics are enabled.
 KernelIsa kernel_isa();
 // Test/bench hook. Unavailable ISAs are clamped to detected_kernel_isa().
@@ -80,8 +85,8 @@ void set_kernel_isa(KernelIsa isa);
 // case stays inside one L1 line set.
 inline constexpr int kQMr = 4;
 inline constexpr int kQNr = 16;
-// Upper bounds on the float micro-tile geometry across ISAs (the generic
-// edge-tile path sizes its accumulators with these).
+// Upper bounds on the float micro-tile geometry across ISAs (gemm.cpp's
+// edge tiles size their local tile with these).
 inline constexpr int kMaxMr = 8;
 inline constexpr int kMaxNr = 16;
 
@@ -129,13 +134,6 @@ struct KernelRegistry {
   int mr, nr;
   void (*sgemm_micro)(int kc, const float* ap, const float* bp, float* c,
                       std::int64_t ldc, float beta);
-  // Same geometry and contract, but always separate multiply then add —
-  // the arithmetic of gemm.cpp's generic edge tile. gemm() runs row-edge
-  // tiles (fewer than mr valid rows, all nr columns) through it, so an
-  // edge tile's bits do not change when the full-tile kernel is FMA.
-  // Equal to sgemm_micro except under kAvx2Fma, where it is kAvx2's kernel.
-  void (*sgemm_micro_mul_add)(int kc, const float* ap, const float* bp, float* c,
-                              std::int64_t ldc, float beta);
 
   // Integer micro-kernels, named after the accumulator they implement;
   // null => qgemm.cpp's tile driver runs its PLAIN layout (generic C++

@@ -1,7 +1,15 @@
-// AVX2 micro-kernels (compiled with -mavx2, NO -mfma — the mul+add SGEMM
-// entry here must stay contraction-free so kAvx2 float results are
-// reproducible independent of compiler fusion decisions; the FMA variant
-// lives in kernels_avx2_fma.cpp).
+// AVX2+FMA micro-kernels, the kAvx2Fma registry (compiled with -mavx2
+// -mfma -ffp-contract=off: the one fused multiply-add is the SGEMM
+// kernel's explicit vfmadd231ps, and the compiler fuses nothing else).
+//
+// Float (docs/method.md §16): gemm.cpp runs every float tile, edge tiles
+// included, through sgemm_micro_fma, so each output element is one
+// ascending-k chain of fused multiply-adds per KC panel. Relative to the
+// scalar kernel each fused a*b+acc skips one float rounding; the
+// per-element divergence after k steps is bounded by ~k * eps * |a|·|b|
+// summed over the reduction — the test battery checks against the scalar
+// reference with the same 1e-4 * sqrt(k) relative bound used for
+// reference-vs-blocked parity.
 //
 // Integer exactness argument (docs/method.md §16): every kernel below
 // computes the same products as the scalar reference and adds them in
@@ -46,14 +54,13 @@ namespace mupod {
 namespace {
 
 // ---------------------------------------------------------------------------
-// SGEMM 6x16 micro-kernel, explicit mul + add (this TU has no -mfma, so
-// the compiler cannot contract these into fmadd).
+// SGEMM 6x16 micro-kernel (vfmadd231ps).
 
 constexpr int MR = 6;
 constexpr int NR = 16;
 
-void sgemm_micro_avx2(int kc, const float* __restrict ap, const float* __restrict bp,
-                      float* __restrict c, std::int64_t ldc, float beta) {
+void sgemm_micro_fma(int kc, const float* __restrict ap, const float* __restrict bp,
+                     float* __restrict c, std::int64_t ldc, float beta) {
   __m256 acc[MR][2];
   for (int r = 0; r < MR; ++r) {
     acc[r][0] = _mm256_setzero_ps();
@@ -65,8 +72,8 @@ void sgemm_micro_avx2(int kc, const float* __restrict ap, const float* __restric
     const float* ak = ap + static_cast<std::ptrdiff_t>(kk) * MR;
     for (int r = 0; r < MR; ++r) {
       const __m256 av = _mm256_broadcast_ss(ak + r);
-      acc[r][0] = _mm256_add_ps(acc[r][0], _mm256_mul_ps(av, b0));
-      acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(av, b1));
+      acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
+      acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
     }
   }
   for (int r = 0; r < MR; ++r) {
@@ -79,10 +86,8 @@ void sgemm_micro_avx2(int kc, const float* __restrict ap, const float* __restric
       _mm256_storeu_ps(crow + 8, _mm256_add_ps(_mm256_loadu_ps(crow + 8), acc[r][1]));
     } else {
       const __m256 vb = _mm256_set1_ps(beta);
-      _mm256_storeu_ps(crow,
-                       _mm256_add_ps(_mm256_mul_ps(vb, _mm256_loadu_ps(crow)), acc[r][0]));
-      _mm256_storeu_ps(
-          crow + 8, _mm256_add_ps(_mm256_mul_ps(vb, _mm256_loadu_ps(crow + 8)), acc[r][1]));
+      _mm256_storeu_ps(crow, _mm256_fmadd_ps(vb, _mm256_loadu_ps(crow), acc[r][0]));
+      _mm256_storeu_ps(crow + 8, _mm256_fmadd_ps(vb, _mm256_loadu_ps(crow + 8), acc[r][1]));
     }
   }
 }
@@ -519,39 +524,12 @@ std::int64_t quantize16_avx2(const float* __restrict x, std::int64_t n, float in
 
 namespace internal {
 
-const KernelRegistry& avx2_kernel_registry() {
-  static const KernelRegistry reg{
-      KernelIsa::kAvx2,
-      MR,
-      NR,
-      &sgemm_micro_avx2,
-      &sgemm_micro_avx2,
-      &qmicro_pair32_avx2,
-      &qmicro8_maddubs_avx2,
-      &qmicro_pair64_avx2,
-      &qpack_pair8_avx2,
-      &qpack_pair16_avx2,
-      &qpack_quad8_avx2,
-      &qrange8_avx2,
-      &qrange16_avx2,
-      &qstore_tile32_avx2,
-      &qdot8_avx2,
-      &qdot16_avx2,
-      &quantize8_avx2,
-      &quantize16_avx2,
-  };
-  return reg;
-}
-
 const KernelRegistry& avx2_fma_kernel_registry() {
-  // Same integer kernels (exactness is ISA-wide); only the SGEMM
-  // micro-kernel differs (vfmadd231ps, defined in kernels_avx2_fma.cpp).
   static const KernelRegistry reg{
       KernelIsa::kAvx2Fma,
       MR,
       NR,
-      &sgemm_micro_6x16_fma,
-      &sgemm_micro_avx2,
+      &sgemm_micro_fma,
       &qmicro_pair32_avx2,
       &qmicro8_maddubs_avx2,
       &qmicro_pair64_avx2,

@@ -1,9 +1,8 @@
 // Internal cross-TU wiring for the kernel registries. The per-ISA TUs
-// (kernels_scalar.cpp, kernels_avx2.cpp, kernels_avx2_fma.cpp) each
-// export one registry accessor; dispatch.cpp selects among them. The
-// AVX2 accessors exist only when CMake compiled the AVX2 TUs
-// (MUPOD_HAVE_AVX2_KERNELS) — on other targets dispatch links against
-// the scalar entry alone.
+// (kernels_scalar.cpp, kernels_avx2.cpp) each export one registry
+// accessor; dispatch.cpp selects among them. The AVX2+FMA accessor exists
+// only when CMake compiled its TU (MUPOD_HAVE_AVX2_KERNELS) — on other
+// targets dispatch links against the scalar entry alone.
 #pragma once
 
 #include "tensor/kernels/kernels.hpp"
@@ -13,14 +12,7 @@ namespace mupod::internal {
 const KernelRegistry& scalar_kernel_registry();
 
 #ifdef MUPOD_HAVE_AVX2_KERNELS
-// Both AVX2 registries are assembled in kernels_avx2.cpp; the FMA SGEMM
-// micro-kernel itself is compiled in kernels_avx2_fma.cpp (the only TU
-// built with -mfma, so mul+add in the kAvx2 SGEMM can never be contracted
-// while the kAvx2Fma entry gets real vfmadd231ps).
-const KernelRegistry& avx2_kernel_registry();
 const KernelRegistry& avx2_fma_kernel_registry();
-void sgemm_micro_6x16_fma(int kc, const float* ap, const float* bp, float* c, std::int64_t ldc,
-                          float beta);
 #endif
 
 }  // namespace mupod::internal

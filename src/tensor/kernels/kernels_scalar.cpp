@@ -57,7 +57,6 @@ const KernelRegistry& scalar_kernel_registry() {
       MR,
       NR,
       &sgemm_micro_scalar,
-      &sgemm_micro_scalar,
       nullptr,  // qmicro_pair32
       nullptr,  // qmicro8_maddubs
       nullptr,  // qmicro_pair64

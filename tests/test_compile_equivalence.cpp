@@ -34,6 +34,7 @@
 #include "compile/compiled_network.hpp"
 #include "compile/graph_compiler.hpp"
 #include "compile_testlib.hpp"
+#include "kernel_isas.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/parallel.hpp"
 #include "zoo/zoo.hpp"
@@ -54,12 +55,6 @@ ZooOptions small_zoo_options() {
   zo.data_seed = 8;
   zo.calibration_images = 4;
   return zo;
-}
-
-std::vector<KernelIsa> isas_to_test() {
-  std::vector<KernelIsa> isas = {KernelIsa::kScalar};
-  if (detected_kernel_isa() != KernelIsa::kScalar) isas.push_back(detected_kernel_isa());
-  return isas;
 }
 
 // RAII: restore worker count + ISA after each configuration sweep.
@@ -88,7 +83,7 @@ TEST(CompileEquivalence, FloatBitwiseAcrossZooModels) {
     const CompiledNetwork cn = GraphCompiler().compile(m.net);
     total_relu_fused += cn.coverage().relu_fused;
     const Tensor x = random_input(2, m.channels, m.height, m.width, 77);
-    for (KernelIsa isa : isas_to_test()) {
+    for (KernelIsa isa : available_isas()) {
       set_kernel_isa(isa);
       for (int workers : {1, 0}) {
         set_parallel_worker_count(workers);
@@ -148,7 +143,7 @@ TEST(CompileEquivalence, IntegerElisionOffMatchesUnfusedCompileBitwise) {
     const CompiledNetwork qn =
         GraphCompiler(CompileOptions::unfused(8)).compile(net, analyzed, formats);
     ASSERT_EQ(qn.coverage().steps, net.num_nodes()) << tag;
-    for (KernelIsa isa : isas_to_test()) {
+    for (KernelIsa isa : available_isas()) {
       set_kernel_isa(isa);
       for (int workers : {1, 0}) {
         set_parallel_worker_count(workers);
@@ -380,7 +375,7 @@ TEST(CompileEquivalence, CompiledIntegerForwardDeterministicAcrossWorkersAndIsa)
     set_kernel_isa(KernelIsa::kScalar);
     set_parallel_worker_count(1);
     const Tensor ref = cn.forward(x);
-    for (KernelIsa isa : isas_to_test()) {
+    for (KernelIsa isa : available_isas()) {
       set_kernel_isa(isa);
       for (int workers : {1, 2, 0}) {
         set_parallel_worker_count(workers);

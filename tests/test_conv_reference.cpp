@@ -35,7 +35,7 @@ TEST_P(ConvEquivalence, MatchesReference) {
   for (std::int64_t i = 0; i < conv.mutable_bias()->numel(); ++i)
     (*conv.mutable_bias())[i] = static_cast<float>(rng.gaussian(0.0, 0.1));
 
-  Tensor x(Shape({2, c.in_c, c.h, c.w}));
+  Tensor x(Shape({3, c.in_c, c.h, c.w}));
   for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.gaussian());
 
   const Shape shapes[1] = {x.shape()};
@@ -51,18 +51,28 @@ TEST_P(ConvEquivalence, MatchesReference) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, ConvEquivalence,
     ::testing::Values(
-        // GEMM path (large k_dim, many output channels).
+        // GEMM path (use_gemm in src/nn/conv.cpp: every ocg >= 4, and a
+        // pointwise conv with ocg >= 2 or k_dim >= 2).
         ConvCase{8, 16, 3, 1, 1, 1, 12, 12},    //
         ConvCase{6, 12, 5, 1, 2, 1, 16, 16},    //
         ConvCase{8, 16, 3, 2, 1, 1, 15, 15},    // stride with odd extent
         ConvCase{12, 8, 3, 1, 0, 2, 10, 10},    // grouped GEMM
         ConvCase{4, 16, 7, 2, 3, 1, 28, 28},    // AlexNet-ish stem
-        // Direct path (depthwise / tiny spatial / 1x1).
-        ConvCase{8, 8, 3, 1, 1, 8, 12, 12},     // depthwise
-        ConvCase{16, 8, 1, 1, 0, 1, 6, 6},      // 1x1
-        ConvCase{8, 2, 3, 1, 1, 2, 8, 8},       // few output channels
+        ConvCase{16, 8, 1, 1, 0, 1, 6, 6},      // 1x1 (pointwise)
         ConvCase{4, 4, 3, 1, 1, 1, 3, 3},       // tiny spatial, kernel == extent
         ConvCase{3, 5, 5, 3, 2, 1, 11, 13},     // non-square, odd stride
+        // Direct path (depthwise, ocg 1-3 below the spatial thresholds).
+        ConvCase{8, 8, 3, 1, 1, 8, 12, 12},     // depthwise
+        ConvCase{8, 2, 3, 1, 1, 2, 8, 8},       // one output channel per group
+        ConvCase{4, 4, 3, 1, 1, 2, 8, 8},       // ocg 2, 3x3
+        ConvCase{4, 6, 5, 1, 2, 2, 8, 8},       // ocg 3, 5x5
+        // MobileNet's depthwise tail: 3x3 pad 1 at 1x1, 2x2 and 4x4
+        // inputs, where every output reads both clipped kernel columns.
+        ConvCase{256, 256, 3, 1, 1, 256, 1, 1},
+        ConvCase{256, 256, 3, 2, 1, 256, 1, 1},
+        ConvCase{128, 128, 3, 1, 1, 128, 2, 2},
+        ConvCase{128, 128, 3, 2, 1, 128, 2, 2},
+        ConvCase{64, 64, 3, 2, 1, 64, 4, 4},
         // Edge geometry.
         ConvCase{2, 8, 3, 1, 2, 1, 4, 4},       // pad > kernel/2
         ConvCase{2, 8, 4, 4, 0, 1, 8, 8}),      // stride == kernel

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "conv_reference.hpp"
+#include "kernel_isas.hpp"
 #include "nn/layers.hpp"
 #include "obs/metrics.hpp"
 #include "stats/rng.hpp"
@@ -274,44 +275,36 @@ TEST(GemmDeterminism, BatchDecompositionInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Edge tiles. Row-edge tiles (fewer than MR valid rows, all NR columns) run
-// the registry's mul+add kernel on a zero-padded tile; they must keep the
-// bits of the generic edge loop they replaced, under every ISA — including
-// kAvx2Fma, whose full tiles are fused. The reference below replays the
-// tile schedule of gemm() serially with a copy of that generic loop.
+// Edge tiles. Every tile kind — full, row edge (fewer than MR valid rows),
+// column edge (fewer than NR valid columns) and n == 1 — runs the
+// registry's one full-tile kernel on the zero-padded strips, so an
+// element's bits do not depend on its tile. The reference below replays
+// gemm()'s tile schedule serially with that kernel on every tile; the
+// battery after it checks the consequence the server relies on.
 
-// The generic edge tile as gemm() has always computed it.
-void edge_reference(int kc, int mr, int nr, int mr_cur, int nr_cur, const float* ap,
-                    const float* bp, float* c, std::int64_t ldc, float beta) {
-  float acc[kMaxNr][kMaxMr] = {};
-  for (int kk = 0; kk < kc; ++kk) {
-    const float* ak = ap + static_cast<std::ptrdiff_t>(kk) * mr;
-    const float* bk = bp + static_cast<std::ptrdiff_t>(kk) * nr;
-    for (int cc = 0; cc < nr_cur; ++cc) {
-      const float bv = bk[cc];
-      for (int r = 0; r < mr; ++r) acc[cc][r] += ak[r] * bv;
-    }
-  }
-  for (int r = 0; r < mr_cur; ++r) {
-    float* crow = c + r * ldc;
-    if (beta == 0.0f) {
-      for (int cc = 0; cc < nr_cur; ++cc) crow[cc] = acc[cc][r];
-    } else if (beta == 1.0f) {
-      for (int cc = 0; cc < nr_cur; ++cc) crow[cc] += acc[cc][r];
-    } else {
-      for (int cc = 0; cc < nr_cur; ++cc) crow[cc] = beta * crow[cc] + acc[cc][r];
-    }
-  }
+// The sweep both batteries share: m across two row strips and a row
+// edge, n across column edges and full strips, k across one and two KC
+// panels, every beta store path, ReLU on and off.
+template <typename F>
+void sweep_tile_kinds(const F& f) {
+  const GemmBlocking bl = gemm_blocking();
+  for (std::int64_t m = 1; m <= 2 * bl.mr + 1; ++m)
+    for (std::int64_t n : {1, bl.nr - 1, bl.nr, bl.nr + 1, 2 * bl.nr + 3})
+      for (std::int64_t k : {1, 7, bl.kc, bl.kc + 5})
+        for (float beta : {0.0f, 1.0f, 0.5f})
+          for (bool relu : {false, true}) f(m, n, k, beta, relu);
 }
 
 // Serial replay of gemm()'s arithmetic: per KC panel (beta on the first,
-// 1 after), per MR x NR tile, pack zero-padded strips, run the active
-// full-tile kernel or the edge reference, clamp on the last panel.
+// 1 after), per MR x NR tile, pack zero-padded strips, run the full-tile
+// kernel into a padded tile preloaded with C, copy back the valid part,
+// clamp on the last panel.
 void tiled_reference(const KernelRegistry& reg, std::int64_t m, std::int64_t n, std::int64_t k,
                      const float* a, const float* b, float beta, float* c, bool relu) {
   const int mr = reg.mr, nr = reg.nr, kcmax = gemm_blocking().kc;
   std::vector<float> ap(static_cast<std::size_t>(kcmax * mr));
   std::vector<float> bp(static_cast<std::size_t>(kcmax * nr));
+  std::vector<float> tile(static_cast<std::size_t>(mr * nr));
   for (std::int64_t pc = 0; pc < k; pc += kcmax) {
     const int kc = static_cast<int>(std::min<std::int64_t>(kcmax, k - pc));
     const float beta_pc = pc == 0 ? beta : 1.0f;
@@ -327,50 +320,92 @@ void tiled_reference(const KernelRegistry& reg, std::int64_t m, std::int64_t n, 
                 cc < nr_cur ? b[(pc + kk) * n + j0 + cc] : 0.0f;
         }
         float* ct = c + i0 * n + j0;
-        if (mr_cur == mr && nr_cur == nr)
-          reg.sgemm_micro(kc, ap.data(), bp.data(), ct, n, beta_pc);
-        else
-          edge_reference(kc, mr, nr, mr_cur, nr_cur, ap.data(), bp.data(), ct, n, beta_pc);
-        if (relu && pc + kcmax >= k)
-          for (int r = 0; r < mr_cur; ++r)
-            for (int cc = 0; cc < nr_cur; ++cc) {
-              float& v = ct[r * n + cc];
-              v = v > 0.0f ? v : 0.0f;
-            }
+        for (int r = 0; r < mr; ++r)
+          for (int cc = 0; cc < nr; ++cc)
+            tile[static_cast<std::size_t>(r * nr + cc)] =
+                r < mr_cur && cc < nr_cur ? ct[r * n + cc] : 0.0f;
+        reg.sgemm_micro(kc, ap.data(), bp.data(), tile.data(), nr, beta_pc);
+        for (int r = 0; r < mr_cur; ++r)
+          for (int cc = 0; cc < nr_cur; ++cc) {
+            float v = tile[static_cast<std::size_t>(r * nr + cc)];
+            if (relu && pc + kcmax >= k) v = v > 0.0f ? v : 0.0f;
+            ct[r * n + cc] = v;
+          }
       }
     }
   }
 }
 
-TEST(GemmEdgeTiles, BitwiseEqualToGenericEdgeUnderEveryIsa) {
-  const KernelIsa saved = kernel_isa();
-  int isas_run = 0;
-  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx2Fma}) {
-    if (!kernel_isa_available(isa)) continue;
+TEST(GemmEdgeTiles, BitwiseEqualToPaddedFullTileUnderEveryIsa) {
+  IsaGuard guard;
+  for (KernelIsa isa : available_isas()) {
     set_kernel_isa(isa);
-    ++isas_run;
     const KernelRegistry& reg = kernel_registry();
-    const GemmBlocking bl = gemm_blocking();
-    ASSERT_EQ(reg.mr, bl.mr);
-    for (std::int64_t m = 1; m <= bl.mr + 1; ++m)
-      for (std::int64_t n : {1, bl.nr - 1, bl.nr, bl.nr + 1})
-        for (std::int64_t k : {1, 7, bl.kc, bl.kc + 5})
-          for (float beta : {0.0f, 1.0f, 0.5f})
-            for (bool relu : {false, true}) {
-              const std::uint64_t seed = static_cast<std::uint64_t>(m * 1000 + n * 10 + k);
-              const std::vector<float> a = random_vec(static_cast<std::size_t>(m * k), seed);
-              const std::vector<float> b = random_vec(static_cast<std::size_t>(k * n), seed + 1);
-              std::vector<float> c = random_vec(static_cast<std::size_t>(m * n), seed + 2);
-              std::vector<float> want = c;
-              gemm(m, n, k, a.data(), k, b.data(), n, beta, c.data(), n, false, relu);
-              tiled_reference(reg, m, n, k, a.data(), b.data(), beta, want.data(), relu);
-              ASSERT_EQ(0, std::memcmp(c.data(), want.data(), c.size() * sizeof(float)))
-                  << kernel_isa_name(isa) << " m=" << m << " n=" << n << " k=" << k
-                  << " beta=" << beta << " relu=" << relu;
-            }
+    ASSERT_EQ(reg.mr, gemm_blocking().mr);
+    sweep_tile_kinds([&](std::int64_t m, std::int64_t n, std::int64_t k, float beta, bool relu) {
+      const std::uint64_t seed = static_cast<std::uint64_t>(m * 1000 + n * 10 + k);
+      const std::vector<float> a = random_vec(static_cast<std::size_t>(m * k), seed);
+      const std::vector<float> b = random_vec(static_cast<std::size_t>(k * n), seed + 1);
+      std::vector<float> c = random_vec(static_cast<std::size_t>(m * n), seed + 2);
+      std::vector<float> want = c;
+      gemm(m, n, k, a.data(), k, b.data(), n, beta, c.data(), n, false, relu);
+      tiled_reference(reg, m, n, k, a.data(), b.data(), beta, want.data(), relu);
+      ASSERT_EQ(0, std::memcmp(c.data(), want.data(), c.size() * sizeof(float)))
+          << kernel_isa_name(isa) << " m=" << m << " n=" << n << " k=" << k << " beta=" << beta
+          << " relu=" << relu;
+    });
   }
-  set_kernel_isa(saved);
-  EXPECT_GE(isas_run, 1);
+}
+
+// What the batched server relies on: a row of C equals the row computed
+// alone (m = 1), a column the column computed alone (n = 1, the GEMV),
+// and a row of X·Wᵀ (trans_b, the batched inner product) equals W·x (the
+// batch-1 inner product). memcmp under every ISA.
+TEST(GemmEdgeTiles, RowsAndColumnsEqualThemComputedAlone) {
+  IsaGuard guard;
+  for (KernelIsa isa : available_isas()) {
+    set_kernel_isa(isa);
+    sweep_tile_kinds([&](std::int64_t m, std::int64_t n, std::int64_t k, float beta, bool relu) {
+      const std::uint64_t seed = static_cast<std::uint64_t>(m * 1000 + n * 10 + k) + 77;
+      const std::vector<float> a = random_vec(static_cast<std::size_t>(m * k), seed);
+      const std::vector<float> b = random_vec(static_cast<std::size_t>(k * n), seed + 1);
+      const std::vector<float> c0 = random_vec(static_cast<std::size_t>(m * n), seed + 2);
+      const auto where = [&](const char* what, std::int64_t i) {
+        return ::testing::Message() << kernel_isa_name(isa) << " " << what << " " << i
+                                    << " m=" << m << " n=" << n << " k=" << k
+                                    << " beta=" << beta << " relu=" << relu;
+      };
+
+      // C = A·B against each row alone and each column alone.
+      std::vector<float> c = c0;
+      gemm(m, n, k, a.data(), k, b.data(), n, beta, c.data(), n, false, relu);
+      for (std::int64_t i = 0; i < m; ++i) {
+        std::vector<float> row(c0.begin() + i * n, c0.begin() + (i + 1) * n);
+        gemm(1, n, k, a.data() + i * k, k, b.data(), n, beta, row.data(), n, false, relu);
+        ASSERT_EQ(0, std::memcmp(row.data(), c.data() + i * n, row.size() * sizeof(float)))
+            << where("row", i);
+      }
+      for (std::int64_t j = 0; j < n; ++j) {
+        std::vector<float> col = c0;
+        gemm(m, 1, k, a.data(), k, b.data() + j, n, beta, col.data() + j, n, false, relu);
+        for (std::int64_t i = 0; i < m; ++i)
+          ASSERT_EQ(0, std::memcmp(&col[static_cast<std::size_t>(i * n + j)],
+                                   &c[static_cast<std::size_t>(i * n + j)], sizeof(float)))
+              << where("column", j);
+      }
+
+      // Y = X·Wᵀ, X = A (m x k), W = Bᵀ read as n x k rows: row i is W·x_i.
+      const std::vector<float> w = random_vec(static_cast<std::size_t>(n * k), seed + 3);
+      std::vector<float> y = c0;
+      gemm(m, n, k, a.data(), k, w.data(), k, beta, y.data(), n, true, relu);
+      for (std::int64_t i = 0; i < m; ++i) {
+        std::vector<float> wx(c0.begin() + i * n, c0.begin() + (i + 1) * n);
+        gemm(n, 1, k, w.data(), k, a.data() + i * k, 1, beta, wx.data(), 1, false, relu);
+        ASSERT_EQ(0, std::memcmp(wx.data(), y.data() + i * n, wx.size() * sizeof(float)))
+            << where("W·x row", i);
+      }
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -384,12 +419,10 @@ TEST(GemmEdgeTiles, BitwiseEqualToGenericEdgeUnderEveryIsa) {
 // first sits at an offset into the image.
 
 TEST(GemmPatches, BitwiseEqualToMaterializedPatchMatrixUnderEveryIsa) {
-  const KernelIsa saved = kernel_isa();
-  int isas_run = 0, multi_panel = 0;
-  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx2Fma}) {
-    if (!kernel_isa_available(isa)) continue;
+  IsaGuard guard;
+  int multi_panel = 0;
+  for (KernelIsa isa : available_isas()) {
     set_kernel_isa(isa);
-    ++isas_run;
     const int nr = gemm_blocking().nr;
     const int kc = gemm_blocking().kc;
     std::uint64_t seed = 9100;
@@ -428,8 +461,6 @@ TEST(GemmPatches, BitwiseEqualToMaterializedPatchMatrixUnderEveryIsa) {
               multi_panel += k_dim > kc;
             }
   }
-  set_kernel_isa(saved);
-  EXPECT_GE(isas_run, 1);
   EXPECT_GT(multi_panel, 0);
 }
 

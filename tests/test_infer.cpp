@@ -418,24 +418,25 @@ TEST(InferenceServer, UnknownModelAndBadGeometryFailBeforeTheQueue) {
 
 // --- Determinism: batched rows == one-at-a-time forwards --------------------
 
-TEST(InferenceServer, BatchedRowsAreByteIdenticalToSequentialForwards) {
-  const InferFixture& f = fixture();
+// Queues `rows` images, serves them as one batch and checks every logits
+// row byte-equal to the image run alone, at 1, 2 and 4 workers.
+void expect_batched_rows_equal_alone(const ZooModel& model, int rows) {
   for (const int workers : {1, 2, 4}) {
     set_parallel_worker_count(workers);
     InferenceServerConfig cfg;
-    cfg.batch.max_batch = 8;
+    cfg.batch.max_batch = rows;
     cfg.batch.max_wait_us = 1000000;
     InferenceServer server(cfg);
-    server.register_model("tiny", f.model.net, f.model.analyzed);
+    server.register_model("m", model.net, model.analyzed);
 
     std::vector<std::future<InferenceResult>> futs;
-    for (int i = 0; i < 8; ++i) futs.push_back(server.submit(image(i)));
-    server.start();  // depth == cap: one 8-row batch
-    for (int i = 0; i < 8; ++i) {
+    for (int i = 0; i < rows; ++i) futs.push_back(server.submit(image(i)));
+    server.start();  // depth == cap: one batch of `rows`
+    for (int i = 0; i < rows; ++i) {
       const InferenceResult r = futs[static_cast<std::size_t>(i)].get();
       ASSERT_EQ(r.status, InferStatus::kOk) << r.error;
-      ASSERT_EQ(r.batch_rows, 8);
-      const Tensor solo = f.model.net.forward(image(i));
+      ASSERT_EQ(r.batch_rows, rows);
+      const Tensor solo = model.net.forward(image(i));
       ASSERT_EQ(static_cast<std::int64_t>(r.logits.size()), solo.numel());
       // memcmp, not EXPECT_FLOAT_EQ: the GEMM determinism contract is
       // bitwise per (image, group), independent of batch decomposition
@@ -448,6 +449,28 @@ TEST(InferenceServer, BatchedRowsAreByteIdenticalToSequentialForwards) {
     server.stop();
   }
   set_parallel_worker_count(0);
+}
+
+TEST(InferenceServer, BatchedRowsAreByteIdenticalToSequentialForwards) {
+  expect_batched_rows_equal_alone(fixture().model, 8);
+}
+
+// tiny's FC is 10 outputs wide, narrower than one float tile, so every FC
+// tile above is a column edge. With 20 outputs served 8 rows at a time,
+// the batched inner product fills a full MR x NR tile and leaves a row
+// edge and a column edge, while each row run alone is a GEMV (n = 1).
+TEST(InferenceServer, WideFcBatchedRowsAreByteIdenticalToSequentialForwards) {
+  static const ZooModel* wide = [] {
+    ZooOptions zo;
+    zo.num_classes = 20;
+    zo.seed = 404;
+    zo.data_seed = 8;
+    zo.calibration_images = 8;
+    zo.head_images = 0;
+    return new ZooModel(build_tiny_cnn(zo));
+  }();
+  ASSERT_GE(wide->num_classes, 16);
+  expect_batched_rows_equal_alone(*wide, 8);
 }
 
 // --- Integer backend --------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <vector>
 
+#include "kernel_isas.hpp"
 #include "obs/metrics.hpp"
 #include "stats/rng.hpp"
 #include "tensor/gemm.hpp"
@@ -20,19 +21,6 @@
 namespace mupod {
 namespace {
 
-std::vector<KernelIsa> available_isas() {
-  std::vector<KernelIsa> v;
-  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx2Fma})
-    if (kernel_isa_available(isa)) v.push_back(isa);
-  return v;
-}
-
-// RAII: every test restores the startup ISA no matter how it exits.
-struct IsaGuard {
-  KernelIsa saved = kernel_isa();
-  ~IsaGuard() { set_kernel_isa(saved); }
-};
-
 std::vector<float> random_vec(std::size_t n, std::uint64_t seed) {
   std::vector<float> v(n);
   Rng rng(seed);
@@ -41,7 +29,7 @@ std::vector<float> random_vec(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(KernelDispatch, NamesAndParseRoundTrip) {
-  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx2Fma}) {
+  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2Fma}) {
     KernelIsa parsed;
     ASSERT_TRUE(parse_kernel_isa(kernel_isa_name(isa), &parsed)) << kernel_isa_name(isa);
     EXPECT_EQ(parsed, isa);
@@ -51,6 +39,7 @@ TEST(KernelDispatch, NamesAndParseRoundTrip) {
   EXPECT_EQ(parsed, KernelIsa::kAvx2Fma);
   EXPECT_TRUE(parse_kernel_isa("fma", &parsed));
   EXPECT_EQ(parsed, KernelIsa::kAvx2Fma);
+  EXPECT_FALSE(parse_kernel_isa("avx2", &parsed));  // the retired no-FMA tier
   EXPECT_FALSE(parse_kernel_isa("avx512", &parsed));
   EXPECT_FALSE(parse_kernel_isa("", &parsed));
   EXPECT_FALSE(parse_kernel_isa(nullptr, &parsed));
@@ -64,7 +53,7 @@ TEST(KernelDispatch, DetectedAndActiveIsasAreRunnable) {
 
 TEST(KernelDispatch, ForcingAnIsaClampsToAvailable) {
   IsaGuard guard;
-  for (KernelIsa want : {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx2Fma}) {
+  for (KernelIsa want : {KernelIsa::kScalar, KernelIsa::kAvx2Fma}) {
     set_kernel_isa(want);
     if (kernel_isa_available(want))
       EXPECT_EQ(kernel_isa(), want);

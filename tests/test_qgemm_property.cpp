@@ -39,6 +39,7 @@
 #include "compile/compiled_network.hpp"
 #include "compile/graph_compiler.hpp"
 #include "conv_reference.hpp"
+#include "kernel_isas.hpp"
 #include "nn/layers.hpp"
 #include "obs/metrics.hpp"
 #include "quant/fixed_point.hpp"
@@ -323,18 +324,6 @@ TEST(QGemmDeterminism, BitIdenticalAcrossWorkerCounts) {
 // produce byte-identical outputs — across ISAs AND worker counts
 // simultaneously. memcmp, not tolerance.
 
-struct IsaGuard {
-  KernelIsa saved = kernel_isa();
-  ~IsaGuard() { set_kernel_isa(saved); }
-};
-
-std::vector<KernelIsa> available_isas() {
-  std::vector<KernelIsa> v;
-  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx2Fma})
-    if (kernel_isa_available(isa)) v.push_back(isa);
-  return v;
-}
-
 template <typename T>
 void run_isa_equality_case(QType type, std::int64_t m, std::int64_t n, std::int64_t k,
                            int bits, bool trans_b, std::uint64_t seed) {
@@ -388,9 +377,10 @@ TEST(QGemmKernelIsa, MaddubsEligibilityDispatchesAsCounted) {
   // a 7-bit B operand must route through the maddubs kernel and a
   // full-range one through the pair kernel, visible in the dispatch
   // counters.
-  if (!kernel_isa_available(KernelIsa::kAvx2)) GTEST_SKIP() << "AVX2 kernels not compiled/usable";
+  if (!kernel_isa_available(KernelIsa::kAvx2Fma))
+    GTEST_SKIP() << "AVX2 kernels not compiled/usable";
   IsaGuard guard;
-  set_kernel_isa(KernelIsa::kAvx2);
+  set_kernel_isa(KernelIsa::kAvx2Fma);
   metrics().reset();
   set_metrics_enabled(true);
   const std::int64_t m = 8, n = 32, k = 40;
@@ -651,9 +641,10 @@ TEST(QGemmAcc32, ProvenBoundTakesThePairKernelEvenWithMinInt16) {
   // layout (the int64 pair kernel cannot exclude the corner); with a_max
   // proving the bound, the int32 pair kernel takes it — counted as madd,
   // like every int16 pair call.
-  if (!kernel_isa_available(KernelIsa::kAvx2)) GTEST_SKIP() << "AVX2 kernels not compiled/usable";
+  if (!kernel_isa_available(KernelIsa::kAvx2Fma))
+    GTEST_SKIP() << "AVX2 kernels not compiled/usable";
   IsaGuard guard;
-  set_kernel_isa(KernelIsa::kAvx2);
+  set_kernel_isa(KernelIsa::kAvx2Fma);
   const std::int64_t m = 8, n = 32, k = 64;
   const auto a32 = random_ints(static_cast<std::size_t>(m * k), 8, 1201);
   auto b32 = random_ints(static_cast<std::size_t>(k * n), 16, 1202);

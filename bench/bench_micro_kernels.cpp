@@ -136,9 +136,12 @@ void BM_ConvCrossover(benchmark::State& state) {
 
 // Conv2DLayer::forward's GEMM branch, spelled out: per group the bias
 // rows prefilled, then gemm (pointwise) or gemm_patches with beta 1. A
-// copy of production code, kept only to measure the crossover while the
-// gate still sends shapes to the direct loop: the change that retires
-// the direct loop measures through Conv2DLayer::forward and deletes this.
+// copy of production code that must follow that branch. It measures the
+// per-shape half of the crossover only: at four groups the GEMM wins
+// every direct shape, but at net level the direct loop wins on
+// MobileNet's 128- and 256-group depthwise layers at 1x1 and 2x2, where
+// one GEMM call per group costs more than the whole loop
+// (docs/method.md §11).
 void BM_ConvCrossoverGemm(benchmark::State& state) {
   const Conv2DLayer conv = crossover_conv(state);
   const Conv2DLayer::Config& cfg = conv.config();

@@ -54,8 +54,8 @@ cmake -B "$BUILD_DIR" -S . -DMUPOD_SANITIZE="$MODE" -DCMAKE_BUILD_TYPE=RelWithDe
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" "${CTEST_EXTRA[@]}" "$@"
 
-# Second lane, forced-scalar kernels: the AVX2/FMA intrinsic TUs sit
-# behind runtime CPUID dispatch, so on AVX2 hardware the run above never
+# Second lane, forced-scalar kernels: the AVX2+FMA intrinsic TU sits
+# behind runtime CPUID dispatch, so on AVX2+FMA hardware the run above never
 # executes the generic C++ kernel paths that non-x86 builds (and older
 # CPUs) fall back to. MUPOD_FORCE_KERNEL=scalar re-runs the kernel-facing
 # batteries (`sanitize` covers gemm + dispatch, `quant` the integer

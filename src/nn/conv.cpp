@@ -201,10 +201,12 @@ void Conv2DLayer::forward(const FloatFusion& fu, const Tensor& x, Tensor& out) c
   // >= 512, for patch convs from ocg >= 4, for ocg == 3 with a kernel
   // area <= 9 or spatial >= 256, for ocg == 2 with a kernel area <= 9 and
   // spatial >= 1024; the direct loop for the rest, depthwise included. Re-measured
-  // with the patch-packed GEMM (BM_ConvCrossover vs BM_ConvCrossoverGemm
-  // in bench_micro_kernels), the GEMM wins every direct shape measured,
-  // 1.8-3.5x. The gate stays until a change that may move float bits:
-  // a shape that switches paths changes its summation order.
+  // with the patch-packed GEMM at four groups (BM_ConvCrossover vs
+  // BM_ConvCrossoverGemm in bench_micro_kernels), the GEMM wins every
+  // direct shape, 1.8-3.5x; but forced everywhere it makes MobileNet's
+  // convs 1.6x slower, as one GEMM call per group of a 1x1 or 2x2 image
+  // costs more than the direct loop (docs/method.md §11). A shape that
+  // switches paths also changes its summation order, so its float bits.
   bool use_gemm;
   if (is_pointwise) {
     use_gemm = ocg >= 2 || k_dim >= 2 || spatial >= 512;

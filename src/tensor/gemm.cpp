@@ -74,12 +74,9 @@ void pack_a_strip(const float* a, std::int64_t lda, std::int64_t i0, int mr, int
 void micro_padded(const KernelRegistry& reg, int kc, int mr_cur, int nr_cur, const float* ap,
                   const float* bp, float* __restrict c, std::int64_t ldc, float beta) {
   const int nr = reg.nr;
-  float tile[kMaxMr * kMaxNr];
-  if (beta != 0.0f) {
-    // The kernel reads C only to merge it; padded lanes then read zeros.
-    std::fill_n(tile, reg.mr * nr, 0.0f);
+  float tile[kMaxMr * kMaxNr] = {};
+  if (beta != 0.0f)
     for (int r = 0; r < mr_cur; ++r) std::copy_n(c + r * ldc, nr_cur, tile + r * nr);
-  }
   reg.sgemm_micro(kc, ap, bp, tile, nr, beta);
   for (int r = 0; r < mr_cur; ++r) std::copy_n(tile + r * nr, nr_cur, c + r * ldc);
 }

@@ -1,5 +1,5 @@
-// Test-only helpers for the per-ISA batteries: the kernel ISAs this build
-// and CPU can run, and an RAII guard that restores the active ISA.
+// Test-only helpers for the per-ISA batteries: the kernel ISAs, those this
+// build and CPU can run, and an RAII guard that restores the active ISA.
 #pragma once
 
 #include <vector>
@@ -8,10 +8,13 @@
 
 namespace mupod {
 
+// Every ISA the registry knows, runnable here or not.
+inline constexpr KernelIsa kAllIsas[] = {KernelIsa::kScalar, KernelIsa::kAvx2Fma};
+
 // Every ISA that can run here, scalar first.
 inline std::vector<KernelIsa> available_isas() {
   std::vector<KernelIsa> v;
-  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2Fma})
+  for (KernelIsa isa : kAllIsas)
     if (kernel_isa_available(isa)) v.push_back(isa);
   return v;
 }

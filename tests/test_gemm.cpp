@@ -284,7 +284,8 @@ TEST(GemmDeterminism, BatchDecompositionInvariant) {
 
 // The sweep both batteries share: m across two row strips and a row
 // edge, n across column edges and full strips, k across one and two KC
-// panels, every beta store path, ReLU on and off.
+// panels, every beta store path, ReLU on and off. Stops at the first
+// failed case.
 template <typename F>
 void sweep_tile_kinds(const F& f) {
   const GemmBlocking bl = gemm_blocking();
@@ -292,7 +293,10 @@ void sweep_tile_kinds(const F& f) {
     for (std::int64_t n : {1, bl.nr - 1, bl.nr, bl.nr + 1, 2 * bl.nr + 3})
       for (std::int64_t k : {1, 7, bl.kc, bl.kc + 5})
         for (float beta : {0.0f, 1.0f, 0.5f})
-          for (bool relu : {false, true}) f(m, n, k, beta, relu);
+          for (bool relu : {false, true}) {
+            if (::testing::Test::HasFatalFailure()) return;
+            f(m, n, k, beta, relu);
+          }
 }
 
 // Serial replay of gemm()'s arithmetic: per KC panel (beta on the first,

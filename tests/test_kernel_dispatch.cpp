@@ -29,7 +29,7 @@ std::vector<float> random_vec(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(KernelDispatch, NamesAndParseRoundTrip) {
-  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2Fma}) {
+  for (KernelIsa isa : kAllIsas) {
     KernelIsa parsed;
     ASSERT_TRUE(parse_kernel_isa(kernel_isa_name(isa), &parsed)) << kernel_isa_name(isa);
     EXPECT_EQ(parsed, isa);
@@ -53,7 +53,7 @@ TEST(KernelDispatch, DetectedAndActiveIsasAreRunnable) {
 
 TEST(KernelDispatch, ForcingAnIsaClampsToAvailable) {
   IsaGuard guard;
-  for (KernelIsa want : {KernelIsa::kScalar, KernelIsa::kAvx2Fma}) {
+  for (KernelIsa want : kAllIsas) {
     set_kernel_isa(want);
     if (kernel_isa_available(want))
       EXPECT_EQ(kernel_isa(), want);

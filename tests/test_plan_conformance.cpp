@@ -13,8 +13,8 @@
 //      test_determinism.cpp), so the comparison is exact. The plans
 //      depend on the float arithmetic of the profiling forwards, so
 //      there is one golden per arithmetic: plan_conformance.txt for
-//      the FMA kernels (kAvx2Fma) and plan_conformance.scalar.txt for
-//      separate multiply-then-add (kScalar, kAvx2).
+//      the FMA kernel (kAvx2Fma) and plan_conformance.scalar.txt for
+//      separate multiply-then-add (kScalar).
 //
 // The compiled columns (added with the graph compiler) measure the FUSED
 // artifact the inference server serves; `integer` stays the unfused
